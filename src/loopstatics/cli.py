@@ -35,7 +35,7 @@ def _parse_node_id(text: str):
         value = json.loads(text)
     except json.JSONDecodeError:
         return text
-    return value if isinstance(value, (str, int)) else text
+    return value if isinstance(value, (str, int)) and not isinstance(value, bool) else text
 
 
 def _read_text(path: str) -> str:
@@ -51,9 +51,11 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _load(path: str):
-    doc, graph = load_structure(_read_text(path))
-    return doc, graph
+def _load(args):
+    """The structure's graph, spanning tree and fundamental cycles."""
+    _, graph = load_structure(_read_text(args.structure))
+    tree = spanning_tree(graph, root=args.tree_root)
+    return graph, tree, fundamental_cycles(graph, tree)
 
 
 def _report_text(report, fmt: str) -> str:
@@ -134,22 +136,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    _, graph = _load(args.structure)
-    tree = spanning_tree(graph, root=args.tree_root)
-    basis = fundamental_cycles(graph, tree)
+    graph, tree, basis = _load(args)
     report = build_report(graph, tree=tree, basis=basis, with_statics=False)
     _emit(_report_text(report, args.format), args.out)
     return 0
 
 
 def _cmd_axial(args) -> int:
-    _, graph = _load(args.structure)
-    tree = spanning_tree(graph, root=args.tree_root)
-    basis = fundamental_cycles(graph, tree)
+    graph, tree, basis = _load(args)
     summary = analyze_statics(graph, rtol=args.tol)
-    state = None
-    if summary.s > 0:
-        state = axial_to_state(graph, basis, summary.selfstress_basis[0])
+    state = axial_to_state(graph, basis, summary.selfstress_basis[0]) if summary.s else None
     report = build_report(
         graph, tree=tree, basis=basis, summary=summary, state=state,
         axial_tol=args.tol,
@@ -159,9 +155,7 @@ def _cmd_axial(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _, graph = _load(args.structure)
-    tree = spanning_tree(graph, root=args.tree_root)
-    basis = fundamental_cycles(graph, tree)
+    graph, tree, basis = _load(args)
     state = parse_state(_read_text(args.state))
     report = build_report(
         graph, tree=tree, basis=basis, state=state,
@@ -172,9 +166,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _, graph = _load(args.structure)
-    tree = spanning_tree(graph, root=args.tree_root)
-    basis = fundamental_cycles(graph, tree)
+    graph, tree, basis = _load(args)
     state = None
     if args.state:
         state = parse_state(_read_text(args.state))

@@ -98,29 +98,21 @@ def _tree_path_coeffs(tree: SpanningTree, start: NodeId, goal: NodeId) -> dict:
     """Signed tree-bar coefficients for the walk start -> goal.
 
     A bar traversed tail -> head along the walk gets +1, otherwise -1.
+    Both ends climb to their common ancestor, the deeper one first.
     """
-    coeffs: dict[EdgeId, int] = {}
-    a, b = start, goal
     up_from_start: list[tuple[EdgeId, int]] = []
     up_from_goal: list[tuple[EdgeId, int]] = []
-    while tree.depth[a] > tree.depth[b]:
-        link = tree.links[a]
-        up_from_start.append((link.edge, -link.sign))
-        a = link.parent
-    while tree.depth[b] > tree.depth[a]:
-        link = tree.links[b]
-        up_from_goal.append((link.edge, link.sign))
-        b = link.parent
+    a, b = start, goal
     while a != b:
-        la, lb = tree.links[a], tree.links[b]
-        up_from_start.append((la.edge, -la.sign))
-        up_from_goal.append((lb.edge, lb.sign))
-        a, b = la.parent, lb.parent
-    for edge, coeff in up_from_start:
-        coeffs[edge] = coeffs.get(edge, 0) + coeff
-    for edge, coeff in up_from_goal:
-        coeffs[edge] = coeffs.get(edge, 0) + coeff
-    return coeffs
+        if tree.depth[a] >= tree.depth[b]:
+            link = tree.links[a]
+            up_from_start.append((link.edge, -link.sign))
+            a = link.parent
+        else:
+            link = tree.links[b]
+            up_from_goal.append((link.edge, link.sign))
+            b = link.parent
+    return dict(up_from_start + up_from_goal)  # a tree path uses each bar once
 
 
 def fundamental_cycles(

@@ -15,9 +15,9 @@ from pathlib import Path
 from .chains import FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
-from .selfstress import SelfStressState, bar_resultant
-from .synthesis import merge_chain, synthesize_chain, triangle_for_axial
-from .wedge import Bivector6, DualChain, LoopPath, Point4, force_of, moment_of
+from .selfstress import SelfStressState, _axial_verdicts, _bar_array, _bar_frames
+from .synthesis import _axial_loop, merge_chain, synthesize_chain
+from .wedge import Bivector6, DualChain, LoopPath, Point4
 
 _SHARED_CENTER = Point4(0.0, 0.0, 0.0, 0.0)
 
@@ -29,21 +29,6 @@ class RealizedDiagram:
 
     loops: tuple  # of (name, LoopPath | DualChain)
     fallbacks: tuple = ()
-
-
-def _realize_one(
-    graph: FrameGraph, bar, bivector: Bivector6, tol: float
-) -> LoopPath | DualChain:
-    tail, head = graph.ends(bar)
-    force = force_of(bivector)
-    moment = moment_of(bivector)
-    try:
-        return triangle_for_axial(
-            graph.position(tail), graph.position(head), force, moment, tol=tol
-        )
-    except StructureError:
-        mid = graph.midpoint(bar)
-        return synthesize_chain(bivector, Point4(mid[0], mid[1], mid[2], 0.0))
 
 
 def realize_state(
@@ -58,32 +43,33 @@ def realize_state(
     """Build one dual loop per bar (`per="bar"`) or per basis cycle
     (`per="cycle"`).
 
-    Axial resultants become flat triangles normal to their bar; anything
-    else is realized as a rectangle chain and reported as a fallback.
+    Bars that pass the axial test, judged together over the whole state,
+    become flat triangles normal to their bar; anything else is realized as
+    a rectangle chain and reported as a fallback.
     Zero resultants are skipped.  With share_vertex, every loop is
     translated so its first vertex lands on a common central node
     (translation does not change any projected area).
     """
-    state.require_complete(basis)
+    b = _bar_array(state, basis, graph)
+    units, mids = _bar_frames(graph)
+    parallel, matches, _ = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
     if per == "bar":
-        items = [
-            (f"bar_{bar}", bar, bar_resultant(state, bar, basis, graph).bivector)
-            for bar in graph.edge_ids
-        ]
+        items = [(f"bar_{bar}", i) for i, bar in enumerate(graph.edge_ids)]
     elif per == "cycle":
-        items = [
-            (f"cycle_{c.generator}", c.generator, state.resultant(c.generator))
-            for c in basis
-        ]
+        # a generator bar lies on its own loop only, so its row is the loop's
+        col = {bar: i for i, bar in enumerate(graph.edge_ids)}
+        items = [(f"cycle_{c.generator}", col[c.generator]) for c in basis]
     else:
         raise StructureError(f"unknown realization mode {per!r}")
 
-    loops = []
-    fallbacks = []
-    for name, bar, bivector in items:
-        if bivector.norm() == 0.0:
+    loops, fallbacks = [], []
+    for name, i in items:
+        if not b[i].any():
             continue
-        realized = _realize_one(graph, bar, bivector, tol)
+        if parallel[i] and matches[i]:
+            realized = _axial_loop(mids[i], b[i, :3], b[i, 3:])
+        else:
+            realized = synthesize_chain(Bivector6(*b[i]), Point4(*mids[i], 0.0))
         if isinstance(realized, DualChain):
             fallbacks.append(name)
             if merge:
@@ -96,13 +82,7 @@ def realize_state(
 
 def _translate_to_center(realized):
     def shift_for(loop: LoopPath) -> Point4:
-        v0 = loop.vertices[0]
-        return Point4(
-            _SHARED_CENTER.x - v0.x,
-            _SHARED_CENTER.y - v0.y,
-            _SHARED_CENTER.z - v0.z,
-            _SHARED_CENTER.h - v0.h,
-        )
+        return Point4.from_array(_SHARED_CENTER.to_array() - loop.vertices[0].to_array())
 
     if isinstance(realized, LoopPath):
         return realized.translated(shift_for(realized))

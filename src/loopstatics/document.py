@@ -9,6 +9,7 @@ parse -> serialize round trip, and serialization is deterministic.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .chains import FrameGraph
@@ -49,15 +50,38 @@ class StructureDocument:
     version: str = STRUCTURE_FORMAT
 
 
-def _require_id(value, what: str):
-    if not isinstance(value, (str, int)):
-        raise StructureError(f"{what} id must be a string or integer, got {value!r}")
+def _load_document(text: str, error: type, what: str, default: str) -> tuple:
+    """The document's JSON object and its format, which must be of the same
+    family as `default`; NaN, Infinity and absurd nesting are rejected."""
+    try:
+        raw = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise error(f"syntax error in {what} document: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid {what} document: {exc}") from None
+    if not isinstance(raw, dict):
+        raise error(f"{what} document must be a JSON object")
+    version = raw.get("format", default)
+    if not isinstance(version, str) or not version.startswith(default.split("/")[0] + "/"):
+        raise error(f"unsupported {what} format {version!r}")
+    return raw, version
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+def _require_id(value, what: str, error: type = StructureError):
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise error(f"{what} id must be a string or integer, got {value!r}")
     return value
 
 
-def _require_number(value, what: str) -> float:
+def _require_number(value, what: str, error: type = StructureError) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise StructureError(f"{what} must be a number, got {value!r}")
+        raise error(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or too large
+        raise error(f"{what} must be finite, got {value!r}")
     return float(value)
 
 
@@ -107,15 +131,7 @@ def _parse_bar(obj) -> BarRecord:
 
 
 def parse_structure(text: str) -> StructureDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"syntax error in structure document: {exc}") from None
-    if not isinstance(raw, dict):
-        raise StructureError("structure document must be a JSON object")
-    version = raw.get("format", STRUCTURE_FORMAT)
-    if not isinstance(version, str) or not version.startswith("frame-structure/"):
-        raise StructureError(f"unsupported document format {version!r}")
+    raw, version = _load_document(text, StructureError, "structure", STRUCTURE_FORMAT)
     nodes = raw.get("nodes")
     bars = raw.get("bars")
     if not isinstance(nodes, list) or not nodes:
@@ -150,7 +166,7 @@ def serialize_structure(doc: StructureDocument) -> str:
         for b in doc.bars
     ]
     out.update(sorted(doc.extras.items()))
-    return json.dumps(out, indent=2) + "\n"
+    return json.dumps(out, indent=2, allow_nan=False) + "\n"
 
 
 def validate_structure(doc: StructureDocument) -> FrameGraph:
@@ -211,15 +227,7 @@ def generate_prism(
 
 
 def parse_state(text: str) -> SelfStressState:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateError(f"syntax error in state document: {exc}") from None
-    if not isinstance(raw, dict):
-        raise StateError("state document must be a JSON object")
-    version = raw.get("format", STATE_FORMAT)
-    if not isinstance(version, str) or not version.startswith("stress-state/"):
-        raise StateError(f"unsupported state format {version!r}")
+    raw, _ = _load_document(text, StateError, "state", STATE_FORMAT)
     entries = raw.get("resultants")
     if not isinstance(entries, list):
         raise StateError("state document needs a resultants array")
@@ -227,12 +235,14 @@ def parse_state(text: str) -> SelfStressState:
     for entry in entries:
         if not isinstance(entry, dict) or "cycle" not in entry:
             raise StateError(f"bad resultant entry: {entry!r}")
-        cycle = entry["cycle"]
+        cycle = _require_id(entry["cycle"], "cycle", StateError)
         if cycle in resultants:
             raise StateError(f"duplicate resultant for cycle {cycle!r}")
         comps = {}
         for key in _BIVECTOR_KEYS:
-            comps[key] = _require_number(entry.get(key, 0.0), f"cycle {cycle!r} {key}")
+            comps[key] = _require_number(
+                entry.get(key, 0.0), f"cycle {cycle!r} {key}", StateError
+            )
         resultants[cycle] = Bivector6(**comps)
     return SelfStressState(resultants)
 
@@ -244,4 +254,6 @@ def serialize_state(state: SelfStressState) -> str:
         entry = {"cycle": cycle}
         entry.update({k: float(getattr(b, k)) for k in _BIVECTOR_KEYS})
         entries.append(entry)
-    return json.dumps({"format": STATE_FORMAT, "resultants": entries}, indent=2) + "\n"
+    return json.dumps(
+        {"format": STATE_FORMAT, "resultants": entries}, indent=2, allow_nan=False
+    ) + "\n"

@@ -17,9 +17,10 @@ from .cycles import FundamentalCycle, SpanningTree, fundamental_cycles, spanning
 from .errors import StateError
 from .selfstress import (
     SelfStressState,
-    all_bar_resultants,
-    check_axial,
-    residual_at_node,
+    _axial_verdicts,
+    _bar_array,
+    _bar_frames,
+    _node_array,
     selfstress_dimension,
 )
 from .statics import StaticsSummary, analyze_statics
@@ -69,7 +70,7 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         c = self.counts
@@ -143,38 +144,23 @@ def build_report(
         "cycles": len(basis),
         "selfstress_dimension": selfstress_dimension(graph),
     }
-    bar_rows: list = []
-    node_rows: list = []
-    axial_rows: list = []
+    bar_rows, node_rows, axial_rows = [], [], []
     if state is not None:
-        state.require_complete(basis)
-        resultants = all_bar_resultants(state, basis, graph)
-        for bar in graph.edge_ids:
-            res = resultants[bar]
-            axial = float(res.force @ graph.direction(bar))
-            bar_rows.append(
-                {
-                    "bar": bar,
-                    "force": _vec(res.force),
-                    "total_moment": _vec(res.total_moment),
-                    "axial_force": axial,
-                }
-            )
-        for node in graph.node_ids:
-            f_res, m_res = residual_at_node(resultants, node, graph)
-            node_rows.append(
-                {"node": node, "force": _vec(f_res), "moment": _vec(m_res)}
-            )
-        for bar, chk in check_axial(state, graph, basis, tol=axial_tol).items():
-            axial_rows.append(
-                {
-                    "bar": bar,
-                    "is_axial": chk.is_axial,
-                    "force_parallel": chk.force_parallel,
-                    "moment_matches": chk.moment_matches,
-                    "axial_force": chk.axial_force,
-                }
-            )
+        b = _bar_array(state, basis, graph)
+        frames = _bar_frames(graph)
+        parallel, matches, axial = _axial_verdicts(b[:, :3], b[:, 3:], *frames, axial_tol)
+        for i, bar in enumerate(graph.edge_ids):
+            axial_force = float(axial[i])
+            bar_rows.append({"bar": bar, "force": _vec(b[i, :3]),
+                             "total_moment": _vec(b[i, 3:]), "axial_force": axial_force})
+            axial_rows.append({"bar": bar, "is_axial": bool(parallel[i] and matches[i]),
+                               "force_parallel": bool(parallel[i]),
+                               "moment_matches": bool(matches[i]),
+                               "axial_force": axial_force})
+        node_rows = [
+            {"node": node, "force": _vec(row[:3]), "moment": _vec(row[3:])}
+            for node, row in zip(graph.node_ids, _node_array(graph, b))
+        ]
     return AnalysisReport(
         counts=counts,
         tree={

@@ -41,12 +41,14 @@ class SelfStressState:
             raise StateError(f"state has no resultant for cycle {cycle_id!r}") from None
 
     def require_complete(self, basis: list[FundamentalCycle]) -> None:
+        """Exactly one resultant per basis loop: none missing, none unknown."""
+        gens = {c.generator for c in basis}
         missing = [c.generator for c in basis if c.generator not in self.resultants]
-        if missing:
-            raise StateError(
-                "state is missing resultants for cycles: "
-                + ", ".join(repr(m) for m in missing)
-            )
+        unknown = [k for k in self.resultants if k not in gens]
+        if missing or unknown:
+            what = "is missing resultants for" if missing else "has resultants for unknown"
+            ids = ", ".join(repr(i) for i in missing or unknown)
+            raise StateError(f"state {what} cycles: {ids}")
 
     def __add__(self, other: "SelfStressState") -> "SelfStressState":
         keys = set(self.resultants) | set(other.resultants)
@@ -77,6 +79,10 @@ class BarResultant:
     force: np.ndarray
     total_moment: np.ndarray
 
+    @classmethod
+    def of(cls, bar: EdgeId, b: Bivector6) -> "BarResultant":
+        return cls(bar=bar, bivector=b, force=force_of(b), total_moment=moment_of(b))
+
 
 def bar_resultant(
     state: SelfStressState,
@@ -84,20 +90,76 @@ def bar_resultant(
     basis: list[FundamentalCycle],
     graph: FrameGraph,
 ) -> BarResultant:
-    """Signed sum of the resultants of every basis loop containing the bar."""
+    """Signed sum of the resultants of every basis loop containing the bar
+    (the per-bar definition; `_bar_array` sums all bars at once, bit for bit)."""
     total = ZERO_BIVECTOR
     for cycle_id, coeff in cycle_membership(bar, basis, graph):
         total = total + coeff * state.resultant(cycle_id)
-    return BarResultant(
-        bar=bar, bivector=total, force=force_of(total), total_moment=moment_of(total)
+    return BarResultant.of(bar, total)
+
+
+# -- array core: bars, nodes and loops numbered in graph and basis order --
+
+
+def _bar_array(state: SelfStressState, basis: list, graph: FrameGraph) -> np.ndarray:
+    """Chain summation for every bar at once: the e x 6 array B = C^T R of
+    bar (force, total moment) rows, where C is the signed loop x bar
+    incidence of the basis and R the c x 6 state."""
+    state.require_complete(basis)
+    col = {bar: i for i, bar in enumerate(graph.edge_ids)}
+    triplets = [
+        (k, col[bar], c) for k, cyc in enumerate(basis) for bar, c in cyc.chain.items()
+    ]
+    loops, bars, signs = np.array(triplets, dtype=int).reshape(-1, 3).T
+    resultants = np.array([state.resultant(c.generator).components() for c in basis])
+    b = np.zeros((graph.e, 6))
+    # add.at accumulates in triplet order, i.e. in basis order per bar
+    np.add.at(b, bars, signs[:, None] * resultants.reshape(-1, 6)[loops])
+    return b
+
+
+def _node_array(graph: FrameGraph, b: np.ndarray) -> np.ndarray:
+    """Node balance for every node: the v x 6 incidence-signed sum of bar
+    rows, accumulated per node in bar input order."""
+    row = {node: i for i, node in enumerate(graph.node_ids)}
+    ends = [row[end] for bar in graph.edge_ids for end in graph.ends(bar)]
+    signs = np.tile([-1.0, 1.0], graph.e)[:, None]  # (tail, head) of each bar
+    n = np.zeros((graph.v, 6))
+    np.add.at(n, np.array(ends, dtype=int), signs * np.repeat(b, 2, axis=0))
+    return n
+
+
+def _bar_frames(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Unit direction and midpoint of every bar (e x 3 each)."""
+    return tuple(
+        np.array([at(bar) for bar in graph.edge_ids]).reshape(-1, 3)
+        for at in (graph.direction, graph.midpoint)
     )
+
+
+def _axial_verdicts(forces, moments, units, mids, tol: float):
+    """The axial test for bars judged together, as arrays.
+
+    A bar's force must be parallel to it, and its total moment must equal
+    midpoint x force, each within tol times the largest bar force, or the
+    largest max(|m|, |r| |f|), among the bars judged.  Returns
+    (force_parallel, moment_matches, axial_force); tension is positive.
+    """
+    axial = np.array([f @ u for f, u in zip(forces, units)])
+    f_norm = np.linalg.norm(forces, axis=1)
+    lever = np.linalg.norm(mids, axis=1) * f_norm
+    m_own = np.maximum(np.linalg.norm(moments, axis=1), lever)
+    perp = np.linalg.norm(forces - axial[:, None] * units, axis=1)
+    m_err = np.linalg.norm(moments - np.cross(mids, forces), axis=1)
+    scale_f, scale_m = f_norm.max(initial=0.0), m_own.max(initial=0.0)
+    return perp <= tol * scale_f, m_err <= tol * scale_m, axial
 
 
 def all_bar_resultants(
     state: SelfStressState, basis: list[FundamentalCycle], graph: FrameGraph
 ) -> dict:
-    state.require_complete(basis)
-    return {bar: bar_resultant(state, bar, basis, graph) for bar in graph.edge_ids}
+    rows = zip(graph.edge_ids, _bar_array(state, basis, graph))
+    return {bar: BarResultant.of(bar, Bivector6(*row)) for bar, row in rows}
 
 
 def incidence_sign(graph: FrameGraph, bar: EdgeId, node: NodeId) -> int:
@@ -118,14 +180,12 @@ def residual_at_node(
     Both vanish for any resultant map produced by chain summation; the
     entry point exists so tests can feed deliberately corrupted maps.
     """
-    f_res = np.zeros(3)
-    m_res = np.zeros(3)
+    col = {bar: i for i, bar in enumerate(graph.edge_ids)}
+    b = np.zeros((graph.e, 6))
     for bar in graph.incident_edges(node):
-        sign = incidence_sign(graph, bar, node)
-        res = resultants[bar]
-        f_res += sign * res.force
-        m_res += sign * res.total_moment
-    return f_res, m_res
+        b[col[bar]] = np.r_[resultants[bar].force, resultants[bar].total_moment]
+    row = _node_array(graph, b)[graph.node_ids.index(node)]
+    return row[:3], row[3:]
 
 
 def node_residual(
@@ -135,13 +195,7 @@ def node_residual(
     basis: list[FundamentalCycle],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Equilibrium residual at one node; zero (to rounding) for every state."""
-    if not graph.has_node(node):
-        raise StructureError(f"unknown node {node!r}")
-    incident = {
-        bar: bar_resultant(state, bar, basis, graph)
-        for bar in graph.incident_edges(node)
-    }
-    return residual_at_node(incident, node, graph)
+    return residual_at_node(all_bar_resultants(state, basis, graph), node, graph)
 
 
 @dataclass(frozen=True)
@@ -164,35 +218,17 @@ def check_axial(
     basis: list[FundamentalCycle],
     tol: float = 1e-9,
 ) -> dict:
-    """Axial test for every bar.
+    """Axial test for every bar, judged together by `_axial_verdicts`.
 
-    A bar passes when (1) its force is parallel to the bar within tol and
-    (2) its total moment equals midpoint x force within tol, i.e. the
-    internal bending and torsional moments vanish.
+    A bar passes when its force is parallel to the bar and its total moment
+    equals midpoint x force, i.e. its internal bending and torsion vanish.
     """
-    state.require_complete(basis)
-    report = {}
-    for bar in graph.edge_ids:
-        u = graph.direction(bar)  # raises on zero-length bars
-        res = bar_resultant(state, bar, basis, graph)
-        f, m = res.force, res.total_moment
-        f_norm = float(np.linalg.norm(f))
-        axial = float(f @ u)
-        perp = f - axial * u
-        force_parallel = float(np.linalg.norm(perp)) <= tol * f_norm
-        r = graph.midpoint(bar)
-        lever = np.cross(r, f)
-        m_scale = max(
-            float(np.linalg.norm(m)), float(np.linalg.norm(r)) * f_norm
-        )
-        moment_matches = float(np.linalg.norm(m - lever)) <= tol * m_scale
-        report[bar] = AxialCheck(
-            bar=bar,
-            force_parallel=force_parallel,
-            moment_matches=moment_matches,
-            axial_force=axial,
-        )
-    return report
+    b = _bar_array(state, basis, graph)
+    parallel, matches, axial = _axial_verdicts(b[:, :3], b[:, 3:], *_bar_frames(graph), tol)
+    return {
+        bar: AxialCheck(bar, bool(parallel[i]), bool(matches[i]), float(axial[i]))
+        for i, bar in enumerate(graph.edge_ids)
+    }
 
 
 def selfstress_dimension(graph: FrameGraph) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructureError
+from .selfstress import _axial_verdicts
 from .wedge import Bivector6, DualChain, LoopPath, Point4
 
 _ORIGIN4 = Point4(0.0, 0.0, 0.0, 0.0)
@@ -79,30 +80,31 @@ def triangle_for_axial(
     bar, with spatial area |force| and right-hand orientation around the
     force; its vertex h-coordinates solve the 3x3 moment system.  Inputs
     must be axial-consistent: force parallel to the bar and moment equal to
-    midpoint x force, both within tol.  A zero force falls back to
-    synthesize_chain (a DualChain), since no triangle can carry it.
+    midpoint x force, both within tol (the bar judged on its own, see
+    `_axial_verdicts`).  A zero force falls back to synthesize_chain (a
+    DualChain), since no triangle can carry it.
     """
-    p0 = np.asarray(tail, dtype=float)
-    p1 = np.asarray(head, dtype=float)
-    f = np.asarray(force, dtype=float)
-    m = np.asarray(moment, dtype=float)
+    p0, p1, f, m = (np.asarray(a, dtype=float) for a in (tail, head, force, moment))
     d = p1 - p0
     length = float(np.linalg.norm(d))
     if length == 0.0:
         raise StructureError("bar has coincident endpoints")
-    u = d / length
+    mid = 0.5 * (p0 + p1)
+    if np.any(f):
+        u = d / length
+        parallel, matches, _ = _axial_verdicts(f[None], m[None], u[None], mid[None], tol)
+        if not parallel[0]:
+            raise StructureError("force is not parallel to the bar")
+        if not matches[0]:
+            raise StructureError("moment is inconsistent with an axial force")
+    return _axial_loop(mid, f, m)
+
+
+def _axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray) -> LoopPath | DualChain:
+    """triangle_for_axial's geometry, unchecked; zero force gives rectangles."""
     f_norm = float(np.linalg.norm(f))
     if f_norm == 0.0:
         return synthesize_chain(Bivector6.from_force_moment(f, m))
-    perp = f - (f @ u) * u
-    if float(np.linalg.norm(perp)) > tol * f_norm:
-        raise StructureError("force is not parallel to the bar")
-    mid = 0.5 * (p0 + p1)
-    lever = np.cross(mid, f)
-    m_scale = max(float(np.linalg.norm(m)), float(np.linalg.norm(mid)) * f_norm)
-    if float(np.linalg.norm(m - lever)) > tol * max(m_scale, 1e-300):
-        raise StructureError("moment is inconsistent with an axial force")
-
     n = f / f_norm
     t1, t2 = _in_plane_frame(n)
     # equilateral triangle: area = (3*sqrt(3)/4) * R^2 with circumradius R

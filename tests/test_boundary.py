@@ -1,0 +1,258 @@
+"""Regressions at the program's edges: axial verdicts on bars that carry a
+vanishing share of the state, and malformed documents, which must end in
+one `error:` line and exit 2, never a traceback or invalid JSON."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from loopstatics import (
+    Bivector6,
+    SelfStressState,
+    StateError,
+    StructureError,
+    document_from_graph,
+    fundamental_cycles,
+    k5_frame,
+    parse_state,
+    parse_structure,
+    serialize_state,
+    serialize_structure,
+)
+from loopstatics.cli import main
+
+
+def _no_constants(name):
+    raise ValueError(f"non-finite token {name} in output")
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _k5_text() -> str:
+    return serialize_structure(document_from_graph(k5_frame()))
+
+
+def _pendant_text() -> str:
+    """K5 plus a node p joined to o0, o1 and o2: the three new bars carry
+    nothing in the axial self-stress, so their forces are rounding noise."""
+    doc = json.loads(_k5_text())
+    doc["nodes"].append({"id": "p", "x": 2.0, "y": 0.3, "z": 0.7})
+    doc["bars"] += [
+        {"id": f"p{name}", "tail": f"o{i}", "head": "p"}
+        for i, name in enumerate("abc")
+    ]
+    return json.dumps(doc)
+
+
+@pytest.fixture()
+def k5_path(tmp_path):
+    path = tmp_path / "k5.json"
+    path.write_text(_k5_text())
+    return path
+
+
+@pytest.fixture()
+def pendant_path(tmp_path):
+    path = tmp_path / "pendant.json"
+    path.write_text(_pendant_text())
+    return path
+
+
+class TestNoiseForceBars:
+    def test_every_bar_of_the_axial_state_is_axial(self, pendant_path):
+        code, out, _ = run("axial", pendant_path)
+        assert code == 0
+        report = json.loads(out)
+        forces = {row["bar"]: abs(row["axial_force"]) for row in report["axial_check"]}
+        assert forces["pa"] < 1e-12 * max(forces.values())
+        assert all(row["is_axial"] for row in report["axial_check"])
+
+    def test_axial_export_draws_one_triangle_per_bar(self, pendant_path, tmp_path):
+        code, out, err = run("export", pendant_path, "--axial", "--out-dir", tmp_path / "d")
+        assert code == 0, err
+        assert "note:" not in err
+        text = (tmp_path / "d" / "force.obj").read_text()
+        assert text.count("\no bar_") == 13
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_state_constant_rejected(self, token):
+        with pytest.raises(StateError, match=token):
+            parse_state('{"resultants": [{"cycle": "o01", "jk": %s}]}' % token)
+
+    def test_structure_constant_rejected(self):
+        with pytest.raises(StructureError, match="NaN"):
+            parse_structure(_k5_text().replace('"x": 1.0', '"x": NaN', 1))
+
+    def test_overflowing_literal_rejected(self):
+        with pytest.raises(StateError, match="finite"):
+            parse_state('{"resultants": [{"cycle": "o01", "jk": 1e999}]}')
+
+    def test_check_with_nan_state_exits_2(self, k5_path, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(_STATE_TEXT.replace('"jk": 1.0', '"jk": NaN', 1))
+        code, out, err = run("check", k5_path, "--state", state)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestStateIds:
+    def test_unknown_cycle_is_named(self, k5_path, tmp_path):
+        basis = fundamental_cycles(k5_frame())
+        entries = {c.generator: Bivector6(jk=1.0) for c in basis}
+        entries["nosuch"] = Bivector6(jk=1.0)
+        state = tmp_path / "state.json"
+        state.write_text(serialize_state(SelfStressState(entries)))
+        code, _, err = run("check", k5_path, "--state", state)
+        assert code == 2
+        assert "'nosuch'" in err
+
+    def test_require_complete_rejects_unknown_cycles(self):
+        basis = fundamental_cycles(k5_frame())
+        entries = {c.generator: Bivector6() for c in basis}
+        entries["nosuch"] = Bivector6()
+        with pytest.raises(StateError, match="nosuch"):
+            SelfStressState(entries).require_complete(basis)
+
+
+class TestBooleanIds:
+    @pytest.mark.parametrize("field", ["id", "tail"])
+    def test_boolean_rejected(self, field):
+        doc = json.loads(_k5_text())
+        target = doc["nodes"][0] if field == "id" else doc["bars"][0]
+        target[field] = True
+        with pytest.raises(StructureError, match="True"):
+            parse_structure(json.dumps(doc))
+
+    def test_boolean_cycle_rejected(self):
+        with pytest.raises(StateError, match="True"):
+            parse_state('{"resultants": [{"cycle": true}]}')
+
+
+    def test_boolean_tree_root_is_not_node_one(self, tmp_path):
+        doc = {
+            "nodes": [{"id": i, "x": float(i), "y": float(i % 2), "z": 0.0}
+                      for i in range(3)],
+            "bars": [{"id": 10 + i, "ends": [i, (i + 1) % 3]} for i in range(3)],
+        }
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run("cycles", path, "--tree-root", "true")
+        assert code == 2
+        assert "unknown root node 'true'" in err
+
+
+class TestZeroLengthBar:
+    def test_export_rejects_it_like_check(self, tmp_path):
+        nodes = [("a", 0, 0), ("b", 1, 0), ("c", 0, 1), ("d", 0, 1)]
+        doc = {
+            "nodes": [{"id": n, "x": x, "y": y, "z": 0} for n, x, y in nodes],
+            "bars": [{"id": t + h, "tail": t, "head": h}
+                     for t, h in ("ab", "bc", "ca", "cd", "da")],
+        }
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        (tmp_path / "st.json").write_text(
+            '{"resultants": [{"cycle": "bc", "jk": 1.0}, {"cycle": "cd", "ij": 2.0}]}'
+        )
+        for argv in (["check"], ["export", "--out-dir", tmp_path / "d"]):
+            code, _, err = run(*argv, tmp_path / "s.json", "--state", tmp_path / "st.json")
+            assert code == 2
+            assert "'cd' has coincident endpoints" in err
+
+
+class TestDeepNesting:
+    def test_structure_exits_2_with_one_line(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, _, err = run("cycles", path)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+_BASIS = fundamental_cycles(k5_frame())
+_STATE_TEXT = serialize_state(
+    SelfStressState({c.generator: Bivector6(*range(1, 7)) for c in _BASIS})
+)
+_CONSTANTS = ("NaN", "Infinity", "-Infinity")
+
+_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-10.0, 10.0),
+    st.sampled_from(["o0", "o01", "s0", "c", "nosuch", ""]),
+    st.just([]),
+    st.just({}),
+    st.sampled_from(_CONSTANTS),  # written as a bare JSON token
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutate(text: str, data) -> str:
+    """Replace or delete one value of the document, or cut its text short."""
+    doc = json.loads(text)
+    kind = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if kind == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+        return json.dumps(doc)
+    value = data.draw(_values)
+    if value in _CONSTANTS:
+        parent[path[-1]] = "@@"
+        return json.dumps(doc).replace('"@@"', value)
+    parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _assert_clean_exit(code, out, err):
+    if code == 0:
+        json.loads(out, parse_constant=_no_constants)
+    else:
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), target=st.sampled_from(["structure", "state"]))
+def test_mutated_documents_end_cleanly(tmp_path, data, target):
+    structure, state = _k5_text(), _STATE_TEXT
+    if target == "structure":
+        structure = _mutate(structure, data)
+    else:
+        state = _mutate(state, data)
+    (tmp_path / "s.json").write_text(structure)
+    (tmp_path / "st.json").write_text(state)
+    command = data.draw(st.sampled_from(["check", "axial"]))
+    argv = [command, tmp_path / "s.json", "--format", "json"]
+    if command == "check":
+        argv += ["--state", tmp_path / "st.json"]
+    _assert_clean_exit(*run(*argv))
+

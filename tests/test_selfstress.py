@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopstatics import (
     Bivector6,
@@ -13,12 +15,15 @@ from loopstatics import (
     check_axial,
     cycle_membership,
     fundamental_cycles,
+    incidence_sign,
     k5_frame,
     node_residual,
     prism_frame,
     residual_at_node,
     selfstress_dimension,
 )
+
+from loopstatics.selfstress import _bar_array, _node_array
 
 from helpers import random_connected_graph, random_state
 
@@ -197,3 +202,30 @@ class TestDimension:
             edges=[(f"e{i}", i, i + 1) for i in range(3)],
         )
         assert selfstress_dimension(g) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_array_core_matches_the_per_bar_and_per_node_definitions(seed):
+    """Chain summation and node balance over all bars at once give the same
+    bits as summing bar by bar over the loops containing each bar, and node
+    by node over the incident bars in input order."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng)
+    basis = fundamental_cycles(g)
+    state = random_state(rng, basis)
+    b = _bar_array(state, basis, g)
+    reference = {bar: bar_resultant(state, bar, basis, g) for bar in g.edge_ids}
+    for i, bar in enumerate(g.edge_ids):
+        assert np.array_equal(b[i], reference[bar].bivector.components())
+    n = _node_array(g, b)
+    for k, node in enumerate(g.node_ids):
+        f_res, m_res = np.zeros(3), np.zeros(3)
+        for bar in g.incident_edges(node):
+            sign = incidence_sign(g, bar, node)
+            f_res += sign * reference[bar].force
+            m_res += sign * reference[bar].total_moment
+        assert np.array_equal(n[k], np.concatenate([f_res, m_res]))
+        assert np.array_equal(
+            np.concatenate(residual_at_node(reference, node, g)), n[k]
+        )
