@@ -29,6 +29,11 @@ from .statics import analyze_statics, axial_to_state
 from .structures import prism_critical_twist
 
 
+# Reports go to files in slices of this many characters, so that a large
+# one is never held twice, as text and as its encoded bytes.
+_WRITE_CHUNK = 1 << 20
+
+
 def _parse_node_id(text: str):
     """Interpret a node id flag: JSON scalars stay typed, else a string."""
     try:
@@ -46,7 +51,9 @@ def _read_text(path: str) -> str:
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            for i in range(0, len(text), _WRITE_CHUNK):
+                fh.write(text[i:i + _WRITE_CHUNK])
     else:
         sys.stdout.write(text)
 
@@ -145,7 +152,7 @@ def _cmd_cycles(args) -> int:
 def _cmd_axial(args) -> int:
     graph, tree, basis = _load(args)
     summary = analyze_statics(graph, rtol=args.tol)
-    state = axial_to_state(graph, basis, summary.selfstress_basis[0]) if summary.s else None
+    state = axial_to_state(graph, basis, summary.axial_vector(0)) if summary.s else None
     report = build_report(
         graph, tree=tree, basis=basis, summary=summary, state=state,
         axial_tol=args.tol,
@@ -174,7 +181,7 @@ def _cmd_export(args) -> int:
         summary = analyze_statics(graph, rtol=args.tol)
         if summary.s == 0:
             raise StructureError("structure has no axial self-stress to export")
-        state = axial_to_state(graph, basis, summary.selfstress_basis[0])
+        state = axial_to_state(graph, basis, summary.axial_vector(0))
     loops = None
     if state is not None:
         realized = realize_state(

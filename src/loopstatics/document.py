@@ -9,7 +9,6 @@ parse -> serialize round trip, and serialization is deterministic.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 
 from .chains import FrameGraph
@@ -22,6 +21,12 @@ STRUCTURE_FORMAT = "frame-structure/1"
 STATE_FORMAT = "stress-state/1"
 
 _BIVECTOR_KEYS = ("jk", "ki", "ij", "ih", "jh", "kh")
+
+# Largest |coordinate| or |state component| a document may hold.  A product
+# of two inputs (a lever arm times a force) squared inside a norm is then at
+# most 1e256, far enough below the float limit (1.8e308) for the sums over
+# bars and loops that go with it.
+MAX_MAGNITUDE = 1e64
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,9 @@ def _require_id(value, what: str, error: type = StructureError):
 def _require_number(value, what: str, error: type = StructureError) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise error(f"{what} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or too large
-        raise error(f"{what} must be finite, got {value!r}")
+    if not abs(value) <= MAX_MAGNITUDE:  # also NaN and infinities
+        raise error(f"{what} must be finite and at most {MAX_MAGNITUDE:g} "
+                    f"in magnitude, got {value!r}")
     return float(value)
 
 

@@ -35,15 +35,17 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisReport:
     counts: dict
     tree: dict
     cycles: list
-    statics: dict
+    statics: dict  # s, m, rank, sigma_min; empty without statics
     bar_resultants: list = field(default_factory=list)
     node_residuals: list = field(default_factory=list)
     axial_check: list = field(default_factory=list)
+    null_basis: np.ndarray | None = None  # s x e, None without statics
+    edge_ids: tuple = ()  # the null basis's column order
 
     def __post_init__(self):
         c = self.counts
@@ -56,21 +58,48 @@ class AnalysisReport:
             if s - m != c["e"] - 3 * c["v"] + 6:
                 raise StateError("report inconsistency: s - m != e - 3v + 6")
 
-    def to_dict(self) -> dict:
+    def _document(self, basis: list) -> dict:
+        statics = self.statics
+        if self.null_basis is not None:
+            statics = {**statics, "selfstress_basis": basis}
         return {
             "format": REPORT_FORMAT,
             "conventions": CONVENTIONS,
             "counts": self.counts,
             "tree": self.tree,
             "cycles": self.cycles,
-            "statics": self.statics,
+            "statics": statics,
             "bar_resultants": self.bar_resultants,
             "node_residuals": self.node_residuals,
             "axial_check": self.axial_check,
         }
 
+    def to_dict(self) -> dict:
+        """The report as plain JSON values; each null-basis vector is a
+        list of [bar, value] pairs in bar input order."""
+        basis = [] if self.null_basis is None else [
+            [[e, x] for e, x in zip(self.edge_ids, row)] for row in self.null_basis.tolist()
+        ]
+        return self._document(basis)
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        """Byte for byte `json.dumps(self.to_dict(), indent=2, allow_nan=False)`
+        plus a newline.  The null basis is written straight from its array:
+        every vector fills one template of `[bar, %r]` pairs, as JSON writes
+        floats with `float.__repr__`."""
+        text = json.dumps(self._document([]), indent=2, allow_nan=False) + "\n"
+        if self.null_basis is None or not len(self.null_basis):
+            return text
+        if not np.isfinite(self.null_basis).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        head, _, tail = text.partition('"selfstress_basis": []')
+        template = _vector_template(self.edge_ids)
+        pieces = [head, '"selfstress_basis": [\n']
+        for row in self.null_basis:
+            pieces += (template % tuple(row.tolist()), ",\n")
+        pieces[-1] = "\n    ]"
+        pieces.append(tail)
+        return "".join(pieces)
 
     def to_text(self) -> str:
         c = self.counts
@@ -105,6 +134,17 @@ def _chain_rows(cycle: FundamentalCycle) -> list:
     return [[e, c] for e, c in sorted(cycle.chain.items(), key=lambda kv: str(kv[0]))]
 
 
+def _vector_template(edge_ids) -> str:
+    """One null-basis vector as `to_dict` nests it under `statics`, in the
+    layout of json.dumps(indent=2), with a %r slot for each bar's value."""
+    pad = "\n" + " " * 10
+    bars = (json.dumps(e, indent=2, allow_nan=False).replace("\n", pad).replace("%", "%%")
+            for e in edge_ids)
+    return ("      [\n"
+            + ",\n".join(f"        [{pad}{bar},{pad}%r\n        ]" for bar in bars)
+            + "\n      ]")
+
+
 def _vec(v) -> list:
     return [float(x) for x in np.asarray(v)]
 
@@ -133,10 +173,6 @@ def build_report(
             "m": summary.m,
             "rank": summary.rank,
             "sigma_min": summary.sigma_min,
-            "selfstress_basis": [
-                [[e, float(q[e])] for e in graph.edge_ids]
-                for q in summary.selfstress_basis
-            ],
         }
     counts = {
         "v": graph.v,
@@ -174,4 +210,6 @@ def build_report(
         bar_resultants=bar_rows,
         node_residuals=node_rows,
         axial_check=axial_rows,
+        null_basis=summary.null_basis if with_statics else None,
+        edge_ids=graph.edge_ids,
     )

@@ -119,12 +119,12 @@ def _bar_array(state: SelfStressState, basis: list, graph: FrameGraph) -> np.nda
 
 
 def _node_array(graph: FrameGraph, b: np.ndarray) -> np.ndarray:
-    """Node balance for every node: the v x 6 incidence-signed sum of bar
-    rows, accumulated per node in bar input order."""
+    """Node balance for every node: the v x k incidence-signed sum of the
+    e x k bar rows, accumulated per node in bar input order."""
     row = {node: i for i, node in enumerate(graph.node_ids)}
     ends = [row[end] for bar in graph.edge_ids for end in graph.ends(bar)]
     signs = np.tile([-1.0, 1.0], graph.e)[:, None]  # (tail, head) of each bar
-    n = np.zeros((graph.v, 6))
+    n = np.zeros((graph.v, b.shape[1]))
     np.add.at(n, np.array(ends, dtype=int), signs * np.repeat(b, 2, axis=0))
     return n
 

@@ -18,7 +18,7 @@ import numpy as np
 from .chains import EdgeId, FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
-from .selfstress import SelfStressState
+from .selfstress import SelfStressState, _bar_frames, _node_array
 from .wedge import Bivector6
 
 
@@ -54,7 +54,17 @@ class StaticsSummary:
     rank: int
     sigma_min: float | None  # smallest retained singular value
     singular_values: np.ndarray
-    selfstress_basis: tuple  # of AxialForceVector, orthonormal
+    null_basis: np.ndarray  # s x e, orthonormal rows, columns in edge_ids order
+    edge_ids: tuple
+
+    def axial_vector(self, k: int) -> AxialForceVector:
+        """Row k of the null basis as bar forces."""
+        return AxialForceVector(dict(zip(self.edge_ids, self.null_basis[k])))
+
+    @property
+    def selfstress_basis(self) -> tuple:
+        """Every null-basis row as an AxialForceVector."""
+        return tuple(self.axial_vector(k) for k in range(self.s))
 
 
 def equilibrium_matrix(graph: FrameGraph) -> EquilibriumMatrix:
@@ -68,16 +78,12 @@ def equilibrium_matrix(graph: FrameGraph) -> EquilibriumMatrix:
     return EquilibriumMatrix(matrix=a, node_ids=graph.node_ids, edge_ids=graph.edge_ids)
 
 
-def _normalized_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip a basis vector so its largest-magnitude entry is positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    return -vec if vec[idx] < 0 else vec
-
-
 def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     """Rank, self-stress and mechanism counts, and an orthonormal null basis.
 
-    Singular values below rtol times the largest are treated as zero.
+    Singular values below rtol times the largest are treated as zero.  Each
+    null-basis row is signed so that its largest-magnitude entry (the first
+    one, on ties) is positive.
     """
     eq = equilibrium_matrix(graph)
     _, sigma, vt = np.linalg.svd(eq.matrix)
@@ -87,10 +93,10 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
         rank = 0
     s = graph.e - rank
     m = 3 * graph.v - 6 - rank
-    basis = tuple(
-        AxialForceVector(dict(zip(eq.edge_ids, _normalized_sign(vt[row]))))
-        for row in range(rank, graph.e)
-    )
+    null = vt[rank:].copy()
+    if s:
+        lead = null[np.arange(s), np.abs(null).argmax(axis=1)]
+        null[lead < 0] *= -1.0
     sigma_min = float(sigma[rank - 1]) if rank > 0 else None
     return StaticsSummary(
         s=s,
@@ -98,7 +104,8 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
         rank=rank,
         sigma_min=sigma_min,
         singular_values=sigma,
-        selfstress_basis=basis,
+        null_basis=null,
+        edge_ids=eq.edge_ids,
     )
 
 
@@ -133,9 +140,9 @@ def axial_to_state(
         raise StructureError(
             "axial vector names unknown bars: " + ", ".join(repr(e) for e in unknown)
         )
-    eq = equilibrium_matrix(graph)
-    qv = q.as_array(eq.edge_ids)
-    residual = float(np.linalg.norm(eq.matrix @ qv))
+    units, _ = _bar_frames(graph)
+    qv = q.as_array(graph.edge_ids)
+    residual = float(np.linalg.norm(_node_array(graph, qv[:, None] * units)))  # |A q|
     scale = float(np.sqrt(2 * graph.e) * np.linalg.norm(qv))
     if residual > tol * max(scale, 1e-300):
         raise StructureError(

@@ -50,6 +50,37 @@ def random_connected_graph(
     return FrameGraph(nodes, edges)
 
 
+def lattice_graph(rng: np.random.Generator, side: int = 3) -> FrameGraph:
+    """Jittered cubic lattice, `side` nodes per edge, with one diagonal of
+    random orientation in every unit face square.  Every cube has all six
+    faces triangulated, so the frame is rigid: m = 0, s = e - 3v + 6
+    (15 for side 3)."""
+    def nid(c):
+        return int((c[0] * side + c[1]) * side + c[2])
+
+    grid = [(i, j, k) for i in range(side) for j in range(side) for k in range(side)]
+    nodes = [(nid(c), tuple(np.array(c, float) + rng.uniform(-0.15, 0.15, 3)))
+             for c in grid]
+    axes = np.eye(3, dtype=int)
+    ends = []
+    for c in map(np.array, grid):
+        ends += [(c, c + a) for a in axes if (c + a).max() < side]
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            far = c + axes[a] + axes[b]
+            if far.max() < side:
+                ends.append((c, far) if rng.random() < 0.5 else (c + axes[a], c + axes[b]))
+    edges = [(f"b{k}", nid(t), nid(h)) for k, (t, h) in enumerate(ends)]
+    return FrameGraph(nodes, edges)
+
+
+def relabel_bars(graph: FrameGraph, name) -> FrameGraph:
+    """The same frame with bar k (in input order) renamed name(k)."""
+    return FrameGraph(
+        [(n, graph.position(n)) for n in graph.node_ids],
+        [(name(k), *graph.ends(e)) for k, e in enumerate(graph.edge_ids)],
+    )
+
+
 def random_state(rng: np.random.Generator, basis) -> SelfStressState:
     return SelfStressState(
         {c.generator: Bivector6(*rng.normal(size=6)) for c in basis}

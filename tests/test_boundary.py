@@ -4,8 +4,10 @@ one `error:` line and exit 2, never a traceback or invalid JSON."""
 
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from loopstatics import (
     serialize_structure,
 )
 from loopstatics.cli import main
+from loopstatics.document import MAX_MAGNITUDE
 
 
 def _no_constants(name):
@@ -104,6 +107,73 @@ class TestNonFiniteNumbers:
         code, out, err = run("check", k5_path, "--state", state)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _uniform_state_text(value: float) -> str:
+    """A state for the K5 frame with every component of every loop at value."""
+    return serialize_state(
+        SelfStressState({c.generator: Bivector6(*[value] * 6) for c in _BASIS})
+    )
+
+
+def run_strict(*argv):
+    """`run` with every warning, numpy overflow included, raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(*argv)
+
+
+class TestHugeNumbers:
+    """Finite numbers whose products overflow inside a norm are refused
+    where documents are read, before any arithmetic."""
+
+    @pytest.mark.parametrize("command", ["check", "export"])
+    def test_huge_state_exits_2(self, k5_path, tmp_path, command):
+        state = tmp_path / "state.json"
+        state.write_text(_uniform_state_text(1e300))
+        argv = [command, k5_path, "--state", state]
+        if command == "export":
+            argv += ["--out-dir", tmp_path / "d"]
+        code, out, err = run_strict(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cycle") and err.count("\n") == 1, err
+        assert "1e+300" in err
+
+    def test_huge_coordinate_exits_2(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(_k5_text().replace('"x": 1.0', '"x": -1e300', 1))
+        code, out, err = run_strict("axial", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: node") and err.count("\n") == 1, err
+
+    def test_bound_is_inclusive(self):
+        too_big = np.nextafter(MAX_MAGNITUDE, np.inf)
+        assert parse_state(_uniform_state_text(MAX_MAGNITUDE)).resultants
+        with pytest.raises(StateError, match="magnitude"):
+            parse_state(_uniform_state_text(too_big))
+        with pytest.raises(StructureError, match="magnitude"):
+            parse_structure(_k5_text().replace('"x": 1.0', f'"x": {float(too_big)!r}', 1))
+
+    def test_largest_inputs_stay_finite(self, k5_path, tmp_path):
+        """Every component at the bound, on K5 as it is and with coordinates
+        at the bound too: no command overflows."""
+        doc = json.loads(_k5_text())
+        for node in doc["nodes"]:
+            for axis in "xyz":
+                node[axis] *= MAX_MAGNITUDE
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        state = tmp_path / "st.json"
+        state.write_text(_uniform_state_text(MAX_MAGNITUDE))
+        for argv in (["axial", big], ["check", big, "--state", state],
+                     ["check", k5_path, "--state", state],
+                     ["export", k5_path, "--state", state, "--out-dir", tmp_path / "a"],
+                     ["export", k5_path, "--state", state, "--merge-loops",
+                      "--out-dir", tmp_path / "b"]):
+            code, out, err = run_strict(*argv)
+            assert code == 0, err
+            if argv[0] != "export":
+                json.loads(out, parse_constant=_no_constants)
 
 
 class TestStateIds:
@@ -196,6 +266,7 @@ _values = st.one_of(
     st.just([]),
     st.just({}),
     st.sampled_from(_CONSTANTS),  # written as a bare JSON token
+    st.sampled_from([1e300, -1e300]),  # finite, but its square overflows
 )
 
 
@@ -230,9 +301,10 @@ def _mutate(text: str, data) -> str:
     return json.dumps(doc)
 
 
-def _assert_clean_exit(code, out, err):
+def _assert_clean_exit(code, out, err, report=True):
     if code == 0:
-        json.loads(out, parse_constant=_no_constants)
+        if report:
+            json.loads(out, parse_constant=_no_constants)
     else:
         assert code == 2, err
         assert out == ""
@@ -250,9 +322,10 @@ def test_mutated_documents_end_cleanly(tmp_path, data, target):
         state = _mutate(state, data)
     (tmp_path / "s.json").write_text(structure)
     (tmp_path / "st.json").write_text(state)
-    command = data.draw(st.sampled_from(["check", "axial"]))
+    command = data.draw(st.sampled_from(["check", "axial", "export"]))
     argv = [command, tmp_path / "s.json", "--format", "json"]
-    if command == "check":
+    if command != "axial":
         argv += ["--state", tmp_path / "st.json"]
-    _assert_clean_exit(*run(*argv))
-
+    if command == "export":
+        argv += ["--out-dir", tmp_path / "d"]
+    _assert_clean_exit(*run_strict(*argv), report=command != "export")

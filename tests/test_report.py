@@ -1,0 +1,124 @@
+"""The report serializer: `to_json` writes the null basis from its array,
+and must give exactly the text of the stdlib encoder on `to_dict`."""
+
+import dataclasses
+import io
+import json
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopstatics import (
+    analyze_statics,
+    axial_to_state,
+    build_report,
+    document_from_graph,
+    fundamental_cycles,
+    k5_frame,
+    prism_critical_twist,
+    prism_frame,
+    serialize_structure,
+)
+from loopstatics.cli import main
+
+from helpers import int_k5, lattice_graph, random_state, relabel_bars
+
+_NAMES = {
+    "given": None,
+    "int": lambda k: 100 + k,
+    "escapes": lambda k: f'%r %s %% "b{k}" \\ é中\n',
+}
+
+_FRAMES = {
+    "k5": k5_frame,  # s = 1
+    "prism": lambda: prism_frame(twist=0.3),  # s = 0
+    "critical-prism": lambda: prism_frame(twist=prism_critical_twist()),  # s = 1
+    "lattice": lambda: lattice_graph(np.random.default_rng(20), 3),  # s = 15
+}
+
+
+def _frame(kind: str, names: str):
+    g = _FRAMES[kind]()
+    return g if _NAMES[names] is None else relabel_bars(g, _NAMES[names])
+
+
+def _state(g, kind: str):
+    basis = fundamental_cycles(g)
+    if kind == "axial":
+        summary = analyze_statics(g)
+        return axial_to_state(g, basis, summary.axial_vector(0)) if summary.s else None
+    return None if kind == "none" else random_state(np.random.default_rng(21), basis)
+
+
+def assert_serializers_agree(report, same_values=True):
+    text = report.to_json()
+    assert isinstance(text, str)
+    assert text == json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+    if same_values:
+        assert json.loads(text) == report.to_dict()
+
+
+@pytest.mark.parametrize("names", list(_NAMES))
+@pytest.mark.parametrize("state", ["none", "axial", "general"])
+@pytest.mark.parametrize("kind", list(_FRAMES))
+def test_to_json_is_the_stdlib_encoding_of_to_dict(kind, state, names):
+    g = _frame(kind, names)
+    report = build_report(g, state=_state(g, state))
+    basis = report.to_dict()["statics"]["selfstress_basis"]
+    assert len(basis) == analyze_statics(g).s
+    assert all([pair[0] for pair in vector] == list(g.edge_ids) for vector in basis)
+    assert_serializers_agree(report)
+
+
+@pytest.mark.parametrize("kind", list(_FRAMES))
+def test_without_statics(kind):
+    g = _frame(kind, "escapes")
+    for state in ("none", "general"):
+        report = build_report(g, state=_state(g, state), with_statics=False)
+        assert report.to_dict()["statics"] == {}
+        assert_serializers_agree(report)
+
+
+def test_tuple_bar_ids_are_indented_as_nested_lists():
+    # JSON turns tuple ids into lists, so only the text is compared
+    report = build_report(int_k5())
+    assert '"selfstress_basis": [\n      [\n        [\n          [\n            0,' \
+        in report.to_json()
+    assert_serializers_agree(report, same_values=False)
+
+
+def test_non_finite_basis_is_rejected_like_the_stdlib():
+    report = build_report(k5_frame())
+    bad = report.null_basis.copy()
+    bad[0, 3] = np.nan
+    report = dataclasses.replace(report, null_basis=bad)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        json.dumps(report.to_dict(), allow_nan=False)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        report.to_json()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), side=st.sampled_from([2, 3]),
+       names=st.sampled_from(list(_NAMES)), state=st.sampled_from(["none", "general"]))
+def test_random_lattices_serialize_alike(seed, side, names, state):
+    g = lattice_graph(np.random.default_rng(seed), side)
+    if _NAMES[names] is not None:
+        g = relabel_bars(g, _NAMES[names])
+    assert_serializers_agree(build_report(g, state=_state(g, state)))
+
+
+def test_report_file_is_the_stdout_text(tmp_path):
+    """A report of several MB is written to its file in slices, unchanged."""
+    g = lattice_graph(np.random.default_rng(22), 5)  # s = 171
+    path = tmp_path / "s.json"
+    path.write_text(serialize_structure(document_from_graph(g)))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["axial", str(path)]) == 0
+        assert main(["axial", str(path), "-o", str(tmp_path / "r.json")]) == 0
+    assert len(out.getvalue()) > 3 << 20
+    assert (tmp_path / "r.json").read_text() == out.getvalue()

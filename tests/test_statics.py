@@ -18,7 +18,7 @@ from loopstatics import (
 )
 from loopstatics.structures import PRISM_CABLES, PRISM_STRUTS
 
-from helpers import random_connected_graph
+from helpers import lattice_graph, random_connected_graph
 
 
 def single_bar():
@@ -172,6 +172,67 @@ class TestAxialToState:
         basis = fundamental_cycles(g)
         with pytest.raises(StructureError, match="unknown bars"):
             axial_to_state(g, basis, AxialForceVector({"nope": 0.0}))
+
+
+def _sample_frames():
+    rng = np.random.default_rng(15)
+    return {
+        "k5": k5_frame(),
+        "critical-prism": prism_frame(twist=prism_critical_twist()),
+        "lattice": lattice_graph(rng, 3),
+        **{f"random-{i}": random_connected_graph(rng) for i in range(5)},
+    }
+
+
+def _normalized_sign(vec: np.ndarray) -> np.ndarray:
+    """The per-vector sign rule: the largest-magnitude entry, the first one
+    on ties, is made positive."""
+    idx = int(np.argmax(np.abs(vec)))
+    return -vec if vec[idx] < 0 else vec
+
+
+class TestNullBasis:
+    @pytest.mark.parametrize("name", list(_sample_frames()))
+    def test_rows_are_the_sign_normalized_svd_rows_bitwise(self, name):
+        g = _sample_frames()[name]
+        summary = analyze_statics(g)
+        _, _, vt = np.linalg.svd(equilibrium_matrix(g).matrix)
+        assert summary.null_basis.shape == (summary.s, g.e)
+        assert summary.edge_ids == g.edge_ids
+        for row, expected in zip(summary.null_basis, vt[summary.rank:]):
+            assert row.tobytes() == _normalized_sign(expected).tobytes()
+
+    def test_selfstress_basis_is_the_rows_as_bar_forces(self):
+        g = lattice_graph(np.random.default_rng(16), 3)
+        summary = analyze_statics(g)
+        vectors = summary.selfstress_basis
+        assert len(vectors) == summary.s == 15
+        for q, row in zip(vectors, summary.null_basis):
+            assert [q[e] for e in g.edge_ids] == row.tolist()
+        assert summary.axial_vector(3).forces == vectors[3].forces
+
+    def test_no_bars_gives_an_empty_basis(self):
+        summary = analyze_statics(FrameGraph(nodes=[("a", (0, 0, 0))], edges=[]))
+        assert summary.null_basis.shape == (0, 0)
+        assert summary.selfstress_basis == ()
+
+
+class TestSelfStressCheck:
+    """axial_to_state accepts exactly the vectors with node balance A q = 0."""
+
+    @pytest.mark.parametrize("name", ["k5", "critical-prism", "lattice"])
+    def test_null_vectors_accepted_perturbed_rejected(self, name):
+        g = _sample_frames()[name]
+        basis = fundamental_cycles(g)
+        summary = analyze_statics(g)
+        rng = np.random.default_rng(17)
+        mix = rng.normal(size=summary.s) @ summary.null_basis
+        for qv in (*summary.null_basis, mix):
+            axial_to_state(g, basis, AxialForceVector(dict(zip(g.edge_ids, qv))))
+            bumped = qv.copy()
+            bumped[int(rng.integers(g.e))] += 1e-6 * np.abs(qv).max()
+            with pytest.raises(StructureError, match="not a self-stress"):
+                axial_to_state(g, basis, AxialForceVector(dict(zip(g.edge_ids, bumped))))
 
 
 def _random_rotation(rng):
