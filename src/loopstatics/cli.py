@@ -182,7 +182,7 @@ def _cmd_export(args) -> int:
         if summary.s == 0:
             raise StructureError("structure has no axial self-stress to export")
         state = axial_to_state(graph, basis, summary.axial_vector(0))
-    loops = None
+    realized = None
     if state is not None:
         realized = realize_state(
             graph, basis, state,
@@ -191,11 +191,10 @@ def _cmd_export(args) -> int:
             share_vertex=args.share_vertex,
             merge=args.merge_loops,
         )
-        loops = realized.loops
         for name in realized.fallbacks:
             print(f"note: {name} is not axial; exported as a rectangle chain",
                   file=sys.stderr)
-    paths = export_diagrams(graph, loops, args.out_dir)
+    paths = export_diagrams(graph, realized, args.out_dir)
     for p in paths:
         print(p)
     return 0

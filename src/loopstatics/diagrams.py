@@ -10,25 +10,47 @@ bytes are deterministic for identical input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from .chains import FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
 from .selfstress import SelfStressState, _axial_verdicts, _bar_array, _bar_frames
-from .synthesis import _axial_loop, merge_chain, synthesize_chain
-from .wedge import Bivector6, DualChain, LoopPath, Point4
-
-_SHARED_CENTER = Point4(0.0, 0.0, 0.0, 0.0)
+from .synthesis import _merge_rows, _rectangles, _triangles
+from .wedge import DualChain, LoopPath
 
 
 @dataclass(frozen=True)
 class RealizedDiagram:
-    """Named dual loops realizing a state, plus which ones fell back to
-    rectangle chains because their resultant was not axial."""
+    """Named dual loops realizing a state, as vertex rows.
 
-    loops: tuple  # of (name, LoopPath | DualChain)
-    fallbacks: tuple = ()
+    Each item is (name, is_chain, loops), one per realized bar or cycle; a
+    loop is a list of (x, y, z, h) float tuples, closed back to its first
+    vertex.  A chain item is a chain of rectangles, the fallback for a
+    resultant that no triangle carries; any other item is one triangle.
+    """
+
+    items: tuple
+
+    @property
+    def loops(self) -> tuple:
+        """(name, LoopPath | DualChain) pairs, built when read."""
+        return tuple(
+            (name, DualChain(tuple((1, LoopPath.from_array(v)) for v in loops))
+             if chain else LoopPath.from_array(loops[0]))
+            for name, chain, loops in self.items
+        )
+
+    @property
+    def fallbacks(self) -> tuple:
+        """Names of the loops that fell back to rectangle chains."""
+        return tuple(name for name, chain, _ in self.items if chain)
+
+    def __len__(self) -> int:
+        return len(self.items)
 
 
 def realize_state(
@@ -48,109 +70,161 @@ def realize_state(
     a rectangle chain and reported as a fallback.
     Zero resultants are skipped.  With share_vertex, every loop is
     translated so its first vertex lands on a common central node
-    (translation does not change any projected area).
+    (translation does not change any projected area).  All triangles, and
+    all rectangles, are built at once as vertex arrays.
     """
     b = _bar_array(state, basis, graph)
     units, mids = _bar_frames(graph)
     parallel, matches, _ = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
     if per == "bar":
-        items = [(f"bar_{bar}", i) for i, bar in enumerate(graph.edge_ids)]
+        names, rows = [f"bar_{bar}" for bar in graph.edge_ids], np.arange(graph.e)
     elif per == "cycle":
         # a generator bar lies on its own loop only, so its row is the loop's
         col = {bar: i for i, bar in enumerate(graph.edge_ids)}
-        items = [(f"cycle_{c.generator}", col[c.generator]) for c in basis]
+        names = [f"cycle_{c.generator}" for c in basis]
+        rows = np.array([col[c.generator] for c in basis], dtype=int)
     else:
         raise StructureError(f"unknown realization mode {per!r}")
 
-    loops, fallbacks = [], []
-    for name, i in items:
-        if not b[i].any():
+    loaded = b[rows].any(axis=1)
+    names = [name for name, keep in zip(names, loaded.tolist()) if keep]
+    rows = rows[loaded]
+    b, mids, axial = b[rows], mids[rows], (parallel & matches)[rows]
+    # An axial bar whose force norm is zero (its square may underflow) can
+    # carry no triangle; it becomes rectangles about the origin.
+    f_norms = np.zeros(len(rows))
+    f_norms[axial] = [np.linalg.norm(f) for f in b[axial, :3]]
+    tri = f_norms > 0.0
+    anchors = np.zeros((len(rows), 4))
+    anchors[~axial, :3] = mids[~axial]
+    triangles = _triangles(mids[tri], b[tri, :3], b[tri, 3:], f_norms[tri])
+    present = b[~tri] != 0.0
+    rects_per_item = present.sum(axis=1)
+    rects = _rectangles(anchors[~tri], b[~tri])[present]
+    _check_loops(
+        names,
+        np.concatenate([triangles.reshape(-1, 4), rects.reshape(-1, 4)]),
+        np.repeat([3, 4], [len(triangles), len(rects)]),
+        np.concatenate([np.flatnonzero(tri),
+                        np.repeat(np.flatnonzero(~tri), rects_per_item)]),
+    )
+
+    tri_rows, rect_rows = iter(triangles.tolist()), iter(rects.tolist())
+    counts = iter(rects_per_item.tolist())
+    items = []
+    for name, is_triangle in zip(names, tri.tolist()):
+        if is_triangle:
+            items.append((name, False, [list(map(tuple, next(tri_rows)))]))
             continue
-        if parallel[i] and matches[i]:
-            realized = _axial_loop(mids[i], b[i, :3], b[i, 3:])
-        else:
-            realized = synthesize_chain(Bivector6(*b[i]), Point4(*mids[i], 0.0))
-        if isinstance(realized, DualChain):
-            fallbacks.append(name)
-            if merge:
-                realized = merge_chain(realized)
-        if share_vertex:
-            realized = _translate_to_center(realized)
-        loops.append((name, realized))
-    return RealizedDiagram(loops=tuple(loops), fallbacks=tuple(fallbacks))
+        loops = [list(map(tuple, corners)) for corners in islice(rect_rows, next(counts))]
+        items.append((name, True, _merge_rows(loops) if merge else loops))
+    if share_vertex:
+        items = _translate_to_center(names, items)
+    return RealizedDiagram(tuple(items))
 
 
-def _translate_to_center(realized):
-    def shift_for(loop: LoopPath) -> Point4:
-        return Point4.from_array(_SHARED_CENTER.to_array() - loop.vertices[0].to_array())
+def _check_loops(names, vertices, sizes, owners) -> None:
+    """Reject the first item, in output order, with a loop that has a
+    non-finite coordinate, fewer than 3 vertices, or consecutive vertices
+    that coincide, which at finite coordinates only rounding can cause.
+    `vertices` holds every loop's rows back to back, `sizes` the loops'
+    lengths and `owners` their items' indices into `names`."""
+    if not len(sizes):
+        return
+    if sizes.min() < 3:
+        raise StructureError("a loop needs at least 3 vertices")
+    ends = np.cumsum(sizes)
+    following = np.arange(1, len(vertices) + 1)
+    following[ends - 1] = ends - sizes
+    finite = np.isfinite(vertices)
+    bad = ~finite.all(axis=1) | (vertices == vertices[following]).all(axis=1)
+    if not bad.any():
+        return
+    owner = np.repeat(owners, sizes)
+    first = owner[bad].min()
+    nonfinite = np.argwhere(~finite[owner == first])
+    if len(nonfinite):
+        raise StructureError(f"non-finite coordinate {'xyzh'[nonfinite[0, 1]]}")
+    raise StructureError(f"loop {names[first]} collapsed under rounding at these "
+                         "coordinates: consecutive vertices coincide")
 
-    if isinstance(realized, LoopPath):
-        return realized.translated(shift_for(realized))
-    if not realized.terms:
-        return realized
-    delta = shift_for(realized.terms[0][1])
-    return DualChain(tuple((c, lp.translated(delta)) for c, lp in realized.terms))
+
+def _translate_to_center(names, items) -> list:
+    """Every item's loops moved so that the item's first vertex lands on
+    the origin."""
+    loops = [(k, loop) for k, (_, _, item_loops) in enumerate(items) for loop in item_loops]
+    if not loops:
+        return items
+    owners = np.array([k for k, _ in loops])
+    sizes = np.array([len(loop) for _, loop in loops])
+    vertices = np.array([row for _, loop in loops for row in loop])
+    owner = np.repeat(owners, sizes)
+    first = np.searchsorted(owner, owner)  # each vertex's item's first vertex
+    vertices = vertices + (0.0 - vertices[first])
+    _check_loops(names, vertices, sizes, owners)
+    rows = iter(map(tuple, vertices.tolist()))
+    moved = [[] for _ in items]
+    for k, loop in loops:
+        moved[k].append(list(islice(rows, len(loop))))
+    return [(name, chain, moved[k]) for k, (name, chain, _) in enumerate(items)]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_VERTEX = "v %r %r %r\nh %r"
 
 
-class _MeshWriter:
-    def __init__(self):
-        self.lines = ["# loopstatics mesh 1"]
-        self.vertex_count = 0
-
-    def add_object(self, name: str, vertices: list[Point4], polylines: list[list[int]]):
-        """polylines hold 0-based local vertex indices."""
-        base = self.vertex_count + 1
-        self.lines.append(f"o {name}")
-        for v in vertices:
-            self.lines.append(f"v {_fmt(v.x)} {_fmt(v.y)} {_fmt(v.z)}")
-            self.lines.append(f"h {_fmt(v.h)}")
-        self.vertex_count += len(vertices)
-        for poly in polylines:
-            self.lines.append("l " + " ".join(str(base + i) for i in poly))
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+def _mesh_text(objects) -> str:
+    """The one mesh writer: OBJ-style text for (name, vertex rows,
+    polylines) objects.  Rows are (x, y, z, h) tuples of Python floats, as
+    repr of a numpy float is not the number's text; polylines hold 0-based
+    local vertex indices, and None stands for one loop through every
+    vertex, closed back to the first."""
+    lines = ["# loopstatics mesh 1"]
+    base = 1
+    for name, rows, polylines in objects:
+        lines.append(f"o {name}")
+        lines += [_VERTEX % row for row in rows]
+        if polylines is None:
+            polylines = [[*range(len(rows)), 0]]
+        lines += ["l " + " ".join(str(base + i) for i in poly) for poly in polylines]
+        base += len(rows)
+    return "\n".join(lines) + "\n"
 
 
 def form_diagram_text(graph: FrameGraph) -> str:
     """Structure geometry as one polyline object; bars become 2-point lines."""
-    writer = _MeshWriter()
     index = {n: i for i, n in enumerate(graph.node_ids)}
-    vertices = [
-        Point4(*(float(c) for c in graph.position(n)), 0.0) for n in graph.node_ids
-    ]
-    polylines = []
-    for e in graph.edge_ids:
-        tail, head = graph.ends(e)
-        polylines.append([index[tail], index[head]])
-    writer.add_object("form", vertices, polylines)
-    return writer.text()
+    rows = [(*graph.position(n).tolist(), 0.0) for n in graph.node_ids]
+    polylines = [[index[end] for end in graph.ends(e)] for e in graph.edge_ids]
+    return _mesh_text([("form", rows, polylines)])
 
 
 def force_diagram_text(loops) -> str:
-    """Dual loops as named closed polylines; each chain term becomes its
-    own object (reversed when its coefficient is negative)."""
-    writer = _MeshWriter()
-    for name, realized in loops:
+    """Dual loops as named closed polylines, from a RealizedDiagram or from
+    (name, LoopPath | DualChain) pairs as in its `loops`.  Each chain term
+    becomes its own object (reversed when its coefficient is negative)."""
+    items = loops.items if isinstance(loops, RealizedDiagram) else _items_of(loops)
+    return _mesh_text(
+        (f"{name}_part{k}" if chain else name, rows, None)
+        for name, chain, item_loops in items
+        for k, rows in enumerate(item_loops)
+    )
+
+
+def _items_of(pairs) -> list:
+    """RealizedDiagram items for (name, LoopPath | DualChain) pairs."""
+    def rows(loop: LoopPath) -> list:
+        return list(map(tuple, loop.vertex_array().tolist()))
+
+    items = []
+    for name, realized in pairs:
         if isinstance(realized, LoopPath):
-            _add_loop(writer, name, realized)
-        else:
-            term_no = 0
-            for coeff, loop in realized.terms:
-                oriented = loop if coeff > 0 else loop.reversed()
-                for _ in range(abs(coeff)):
-                    _add_loop(writer, f"{name}_part{term_no}", oriented)
-                    term_no += 1
-    return writer.text()
-
-
-def _add_loop(writer: _MeshWriter, name: str, loop: LoopPath):
-    n = len(loop.vertices)
-    writer.add_object(name, list(loop.vertices), [list(range(n)) + [0]])
+            items.append((name, False, [rows(realized)]))
+            continue
+        loops = []
+        for coeff, loop in realized.terms:
+            loops += [rows(loop if coeff > 0 else loop.reversed())] * abs(coeff)
+        items.append((name, True, loops))
+    return items
 
 
 def export_diagrams(
@@ -162,8 +236,8 @@ def export_diagrams(
 ) -> list[Path]:
     """Write the form diagram, and the force diagram when there are loops.
 
-    Returns the written paths.  `loops` is a sequence of (name, loop)
-    pairs as produced by realize_state; pass None or empty for form only.
+    Returns the written paths.  `loops` is what realize_state returns, or
+    its `loops` pairs; pass None or empty for form only.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ at build time so an inconsistent report can never be emitted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,11 +41,12 @@ class AnalysisReport:
     tree: dict
     cycles: list
     statics: dict  # s, m, rank, sigma_min; empty without statics
-    bar_resultants: list = field(default_factory=list)
-    node_residuals: list = field(default_factory=list)
-    axial_check: list = field(default_factory=list)
+    edge_ids: tuple = ()  # row order of the bar tables, column order of the null basis
+    node_ids: tuple = ()  # row order of the node table
+    bar_table: np.ndarray | None = None  # e x 7: force, total moment, axial force
+    verdicts: np.ndarray | None = None  # e x 2 bool: force parallel, moment matches
+    node_table: np.ndarray | None = None  # v x 6: force and moment sums
     null_basis: np.ndarray | None = None  # s x e, None without statics
-    edge_ids: tuple = ()  # the null basis's column order
 
     def __post_init__(self):
         c = self.counts
@@ -58,48 +59,89 @@ class AnalysisReport:
             if s - m != c["e"] - 3 * c["v"] + 6:
                 raise StateError("report inconsistency: s - m != e - 3v + 6")
 
-    def _document(self, basis: list) -> dict:
+    def _document(self, tables: dict) -> dict:
+        """The report around its list-valued tables, taken from `tables`."""
         statics = self.statics
         if self.null_basis is not None:
-            statics = {**statics, "selfstress_basis": basis}
+            statics = {**statics, "selfstress_basis": tables["selfstress_basis"]}
         return {
             "format": REPORT_FORMAT,
             "conventions": CONVENTIONS,
             "counts": self.counts,
             "tree": self.tree,
-            "cycles": self.cycles,
+            "cycles": tables["cycles"],
             "statics": statics,
-            "bar_resultants": self.bar_resultants,
-            "node_residuals": self.node_residuals,
-            "axial_check": self.axial_check,
+            "bar_resultants": tables["bar_resultants"],
+            "node_residuals": tables["node_residuals"],
+            "axial_check": tables["axial_check"],
         }
 
     def to_dict(self) -> dict:
         """The report as plain JSON values; each null-basis vector is a
-        list of [bar, value] pairs in bar input order."""
-        basis = [] if self.null_basis is None else [
-            [[e, x] for e, x in zip(self.edge_ids, row)] for row in self.null_basis.tolist()
-        ]
-        return self._document(basis)
+        list of [bar, value] pairs in bar input order.  The tables without
+        a state are empty."""
+        tables = {key: [] for key in _TABLES}
+        tables["cycles"] = self.cycles
+        if self.null_basis is not None:
+            tables["selfstress_basis"] = [
+                [[e, x] for e, x in zip(self.edge_ids, row)] for row in self.null_basis.tolist()
+            ]
+        if self.bar_table is not None:
+            bars = self.bar_table.tolist()
+            verdicts = self.verdicts.tolist()
+            tables["bar_resultants"] = [_bar_row(e, *r) for e, r in zip(self.edge_ids, bars)]
+            tables["node_residuals"] = [
+                _node_row(n, *r) for n, r in zip(self.node_ids, self.node_table.tolist())
+            ]
+            tables["axial_check"] = [
+                _check_row(e, p and m, p, m, r[6])
+                for e, (p, m), r in zip(self.edge_ids, verdicts, bars)
+            ]
+        return self._document(tables)
 
     def to_json(self) -> str:
         """Byte for byte `json.dumps(self.to_dict(), indent=2, allow_nan=False)`
-        plus a newline.  The null basis is written straight from its array:
-        every vector fills one template of `[bar, %r]` pairs, as JSON writes
-        floats with `float.__repr__`."""
-        text = json.dumps(self._document([]), indent=2, allow_nan=False) + "\n"
-        if self.null_basis is None or not len(self.null_basis):
-            return text
-        if not np.isfinite(self.null_basis).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        head, _, tail = text.partition('"selfstress_basis": []')
-        template = _vector_template(self.edge_ids)
-        pieces = [head, '"selfstress_basis": [\n']
-        for row in self.null_basis:
-            pieces += (template % tuple(row.tolist()), ",\n")
-        pieces[-1] = "\n    ]"
-        pieces.append(tail)
-        return "".join(pieces)
+        plus a newline.  The tables are written straight from the report's
+        arrays and cycle rows: each row fills one template, laid out as the
+        stdlib lays out a row of slots, and each null-basis vector fills
+        one template of `[bar, %r]` pairs.  Floats go through `%r`, as JSON
+        writes them with `float.__repr__`."""
+        for table in (self.bar_table, self.node_table, self.null_basis):
+            if table is not None and not np.isfinite(table).all():
+                raise ValueError("Out of range float values are not JSON compliant")
+        empty = self._document({key: [] for key in _TABLES})
+        return _splice(json.dumps(empty, indent=2, allow_nan=False) + "\n", self._table_texts())
+
+    def _table_texts(self) -> list:
+        """(key, indent of the key, row texts) of each table, in document order."""
+        bar_ids = [json.dumps(e, indent=2) for e in self.edge_ids]
+        in_row = dict(zip(self.edge_ids, _nested(bar_ids, 6)))
+        in_pair = dict(zip(self.edge_ids, _nested(bar_ids, 10)))
+        chain_sep = ",\n" + " " * 8
+        cycles = [
+            _CYCLE_ROW % (in_row[c["generator"]],
+                          chain_sep.join(_PAIR % (in_pair[e], k) for e, k in c["chain"]))
+            for c in self.cycles
+        ]
+        basis = bars = nodes = checks = []
+        if self.null_basis is not None:
+            template = _vector_template(in_pair.values())
+            # one row of Python floats at a time; all rows at once hold ~32 MB
+            # more on a 1638-bar lattice
+            basis = [template % tuple(row.tolist()) for row in self.null_basis]
+        if self.bar_table is not None:
+            table = self.bar_table.tolist()
+            bars = [_BAR_ROW % (in_row[e], *r) for e, r in zip(self.edge_ids, table)]
+            node_ids = _nested([json.dumps(n, indent=2) for n in self.node_ids], 6)
+            nodes = [_NODE_ROW % (n, *r) for n, r in zip(node_ids, self.node_table.tolist())]
+            json_bool = {True: "true", False: "false"}
+            checks = [
+                _CHECK_ROW % (in_row[e], json_bool[p and m], json_bool[p], json_bool[m], r[6])
+                for e, (p, m), r in zip(self.edge_ids, self.verdicts.tolist(), table)
+            ]
+        return [("cycles", 2, cycles), ("selfstress_basis", 4, basis),
+                ("bar_resultants", 2, bars), ("node_residuals", 2, nodes),
+                ("axial_check", 2, checks)]
 
     def to_text(self) -> str:
         c = self.counts
@@ -118,35 +160,95 @@ class AnalysisReport:
         for cyc in self.cycles:
             terms = " ".join(f"{c:+d}*{e}" for e, c in cyc["chain"])
             lines.append(f"loop {cyc['generator']}: {terms}")
-        for row in self.bar_resultants:
-            f = row["force"]
-            lines.append(
-                f"bar {row['bar']}: axial {row['axial_force']:+.6g}  "
-                f"force ({f[0]:.6g}, {f[1]:.6g}, {f[2]:.6g})"
-            )
-        for row in self.axial_check:
-            lines.append(f"axial check {row['bar']}: "
-                         + ("pass" if row["is_axial"] else "FAIL"))
+        if self.bar_table is not None:
+            for bar, f in zip(self.edge_ids, self.bar_table.tolist()):
+                lines.append(
+                    f"bar {bar}: axial {f[6]:+.6g}  "
+                    f"force ({f[0]:.6g}, {f[1]:.6g}, {f[2]:.6g})"
+                )
+            for bar, (parallel, matches) in zip(self.edge_ids, self.verdicts.tolist()):
+                lines.append(f"axial check {bar}: "
+                             + ("pass" if parallel and matches else "FAIL"))
         return "\n".join(lines) + "\n"
+
+
+# The report's list-valued tables; the rows of each are built by one
+# function, which also lays out its serializer's template.
+_TABLES = ("cycles", "selfstress_basis", "bar_resultants", "node_residuals", "axial_check")
+
+
+def _cycle_row(generator, chain: list) -> dict:
+    return {"generator": generator, "chain": chain}
+
+
+def _bar_row(bar, fx, fy, fz, mx, my, mz, axial_force) -> dict:
+    return {"bar": bar, "force": [fx, fy, fz], "total_moment": [mx, my, mz],
+            "axial_force": axial_force}
+
+
+def _node_row(node, fx, fy, fz, mx, my, mz) -> dict:
+    return {"node": node, "force": [fx, fy, fz], "moment": [mx, my, mz]}
+
+
+def _check_row(bar, is_axial, parallel, matches, axial_force) -> dict:
+    return {"bar": bar, "is_axial": is_axial, "force_parallel": parallel,
+            "moment_matches": matches, "axial_force": axial_force}
+
+
+def _layout(row, depth: int) -> str:
+    """json.dumps(row, indent=2) as the text of a list item `depth` spaces
+    deep, its first line unindented, with each "%s" or "%r" string turned
+    into that slot."""
+    text = json.dumps(row, indent=2).replace("\n", "\n" + " " * depth)
+    return text.replace('"%s"', "%s").replace('"%r"', "%r")
+
+
+# Rows are items of top-level lists, 4 spaces deep; [bar, value] pairs are
+# items of a cycle's chain or of a null-basis vector, 8 spaces deep.
+_CYCLE_ROW = _layout(_cycle_row("%s", ["%s"]), 4)
+_BAR_ROW = _layout(_bar_row("%s", *["%r"] * 7), 4)
+_NODE_ROW = _layout(_node_row("%s", *["%r"] * 6), 4)
+_CHECK_ROW = _layout(_check_row("%s", "%s", "%s", "%s", "%r"), 4)
+_PAIR = _layout(["%s", "%s"], 8)
+
+
+def _nested(dumped: list, depth: int) -> list:
+    """JSON texts of ids re-indented to sit `depth` spaces deep (only list
+    ids, such as tuples, span lines)."""
+    return [text.replace("\n", "\n" + " " * depth) for text in dumped]
+
+
+def _splice(text: str, tables: list) -> str:
+    """`text` with each non-empty table's rows in place of its `[]`.  The
+    rows are joined once, with the rest, so that a large table is held
+    only as its rows and as the result."""
+    pieces, pos = [], 0
+    for key, indent, rows in tables:
+        if not rows:
+            continue
+        mark = f'"{key}": []'
+        at = text.index(mark, pos)
+        pad = "\n" + " " * (indent + 2)
+        pieces += (text[pos:at], f'"{key}": [', pad)
+        for row in rows:
+            pieces += (row, "," + pad)
+        pieces[-1] = "\n" + " " * indent + "]"
+        pos = at + len(mark)
+    pieces.append(text[pos:])
+    return "".join(pieces)
 
 
 def _chain_rows(cycle: FundamentalCycle) -> list:
     return [[e, c] for e, c in sorted(cycle.chain.items(), key=lambda kv: str(kv[0]))]
 
 
-def _vector_template(edge_ids) -> str:
-    """One null-basis vector as `to_dict` nests it under `statics`, in the
-    layout of json.dumps(indent=2), with a %r slot for each bar's value."""
-    pad = "\n" + " " * 10
-    bars = (json.dumps(e, indent=2, allow_nan=False).replace("\n", pad).replace("%", "%%")
-            for e in edge_ids)
-    return ("      [\n"
-            + ",\n".join(f"        [{pad}{bar},{pad}%r\n        ]" for bar in bars)
-            + "\n      ]")
-
-
-def _vec(v) -> list:
-    return [float(x) for x in np.asarray(v)]
+def _vector_template(bars) -> str:
+    """One null-basis vector, a list item 6 spaces deep, with a %r slot for
+    each bar's value; `bars` are the bars' JSON texts as pair items, and
+    are %-escaped here, since they become part of the template."""
+    pairs = (_PAIR % (bar.replace("%", "%%"), "%r") for bar in bars)
+    pad = "\n" + " " * 8
+    return "[" + pad + ("," + pad).join(pairs) + "\n" + " " * 6 + "]"
 
 
 def build_report(
@@ -180,36 +282,26 @@ def build_report(
         "cycles": len(basis),
         "selfstress_dimension": selfstress_dimension(graph),
     }
-    bar_rows, node_rows, axial_rows = [], [], []
+    bar_table = verdicts = node_table = None
     if state is not None:
         b = _bar_array(state, basis, graph)
         frames = _bar_frames(graph)
         parallel, matches, axial = _axial_verdicts(b[:, :3], b[:, 3:], *frames, axial_tol)
-        for i, bar in enumerate(graph.edge_ids):
-            axial_force = float(axial[i])
-            bar_rows.append({"bar": bar, "force": _vec(b[i, :3]),
-                             "total_moment": _vec(b[i, 3:]), "axial_force": axial_force})
-            axial_rows.append({"bar": bar, "is_axial": bool(parallel[i] and matches[i]),
-                               "force_parallel": bool(parallel[i]),
-                               "moment_matches": bool(matches[i]),
-                               "axial_force": axial_force})
-        node_rows = [
-            {"node": node, "force": _vec(row[:3]), "moment": _vec(row[3:])}
-            for node, row in zip(graph.node_ids, _node_array(graph, b))
-        ]
+        bar_table = np.column_stack([b, axial])
+        verdicts = np.column_stack([parallel, matches])
+        node_table = _node_array(graph, b)
     return AnalysisReport(
         counts=counts,
         tree={
             "root": tree.root,
             "edges": sorted(tree.edge_ids, key=str),
         },
-        cycles=[
-            {"generator": c.generator, "chain": _chain_rows(c)} for c in basis
-        ],
+        cycles=[_cycle_row(c.generator, _chain_rows(c)) for c in basis],
         statics=statics,
-        bar_resultants=bar_rows,
-        node_residuals=node_rows,
-        axial_check=axial_rows,
-        null_basis=summary.null_basis if with_statics else None,
         edge_ids=graph.edge_ids,
+        node_ids=graph.node_ids,
+        bar_table=bar_table,
+        verdicts=verdicts,
+        node_table=node_table,
+        null_basis=summary.null_basis if with_statics else None,
     )

@@ -131,16 +131,17 @@ def axial_to_state(
     """Loop-resultant state carrying the given axial forces.
 
     Each basis loop gets the resultant of its generator bar: force q*u
-    along the bar, total moment midpoint x force.  Requires q to be in the
-    null space of the equilibrium matrix; chain summation then reproduces
-    q on every bar, tree bars included.
+    along the bar, total moment midpoint x force, for all loops in one
+    array pass.  Requires q to be in the null space of the equilibrium
+    matrix; chain summation then reproduces q on every bar, tree bars
+    included.
     """
     unknown = [e for e in q.forces if not graph.has_edge(e)]
     if unknown:
         raise StructureError(
             "axial vector names unknown bars: " + ", ".join(repr(e) for e in unknown)
         )
-    units, _ = _bar_frames(graph)
+    units, mids = _bar_frames(graph)
     qv = q.as_array(graph.edge_ids)
     residual = float(np.linalg.norm(_node_array(graph, qv[:, None] * units)))  # |A q|
     scale = float(np.sqrt(2 * graph.e) * np.linalg.norm(qv))
@@ -148,10 +149,10 @@ def axial_to_state(
         raise StructureError(
             f"axial force vector is not a self-stress (|A q| = {residual:.3e})"
         )
-    resultants = {}
-    for cycle in basis:
-        gen = cycle.generator
-        force = q[gen] * graph.direction(gen)
-        moment = np.cross(graph.midpoint(gen), force)
-        resultants[gen] = Bivector6.from_force_moment(force, moment)
-    return SelfStressState(resultants)
+    col = {bar: i for i, bar in enumerate(graph.edge_ids)}
+    gens = np.array([col[c.generator] for c in basis], dtype=int)
+    force = qv[gens, None] * units[gens]
+    rows = np.hstack([force, np.cross(mids[gens], force)])
+    return SelfStressState(
+        {c.generator: Bivector6(*row) for c, row in zip(basis, rows.tolist())}
+    )

@@ -18,53 +18,53 @@ from .wedge import Bivector6, DualChain, LoopPath, Point4
 
 _ORIGIN4 = Point4(0.0, 0.0, 0.0, 0.0)
 
-# Plane -> (axis for the signed side, axis for the unit side), indices into
-# (x, y, z, h).  Same component order as Bivector6.
-_RECT_AXES = {
-    "jk": (1, 2),
-    "ki": (2, 0),
-    "ij": (0, 1),
-    "ih": (0, 3),
-    "jh": (1, 3),
-    "kh": (2, 3),
-}
+# Each component's rectangle lies in the plane of (axis for the signed side,
+# axis for the unit side), indices into (x, y, z, h), in the component order
+# of Bivector6: jk, ki, ij, ih, jh, kh.
+_RECT_AXES = ((1, 2), (2, 0), (0, 1), (0, 3), (1, 3), (2, 3))
+_SIDE_A = np.eye(4)[[a for a, _ in _RECT_AXES]]
+_SIDE_B = np.eye(4)[[b for _, b in _RECT_AXES]]
+
+# The triangle's corners, each angle's cosine and sine taken on its own as a
+# numpy scalar, so the corners keep their bits whatever the batch size.
+_TURNS = [(np.cos(a), np.sin(a)) for a in 2.0 * np.pi * np.arange(3) / 3.0]
 
 
-def _rectangle(anchor: Point4, axis_a: int, axis_b: int, area: float) -> LoopPath:
-    """Rectangle of signed area `area` in the (axis_a, axis_b) plane, with
-    one corner at the anchor, sides `area` and 1."""
-    base = anchor.to_array()
-    ea = np.zeros(4)
-    eb = np.zeros(4)
-    ea[axis_a] = 1.0
-    eb[axis_b] = 1.0
-    corners = (base, base + area * ea, base + area * ea + eb, base + eb)
-    return LoopPath(tuple(Point4.from_array(c) for c in corners))
+def _rectangles(anchors: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Corner rows (k, 6, 4, 4) of one rectangle per component for k anchors
+    (k x 4) and k x 6 signed areas: a corner at the anchor, sides `area` and
+    1.  Zero-area rectangles are included; callers drop them."""
+    base = anchors[:, None, :]
+    side = base + areas[:, :, None] * _SIDE_A
+    return np.stack(np.broadcast_arrays(base, side, side + _SIDE_B, base + _SIDE_B), axis=2)
 
 
 def synthesize_chain(target: Bivector6, anchor: Point4 = _ORIGIN4) -> DualChain:
     """Formal sum of at most six axis-aligned rectangles whose areas add to
     the target, one rectangle per nonzero component; exact up to rounding."""
-    terms = []
-    for name, (axis_a, axis_b) in _RECT_AXES.items():
-        comp = getattr(target, name)
-        if comp != 0.0:
-            terms.append((1, _rectangle(anchor, axis_a, axis_b, comp)))
-    return DualChain(tuple(terms))
+    areas = target.components()
+    corners = _rectangles(anchor.to_array()[None], areas[None])[0]
+    return DualChain(tuple(
+        (1, LoopPath.from_array(c)) for c, area in zip(corners, areas) if area != 0.0
+    ))
 
 
-def _in_plane_frame(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-handed in-plane frame (t1, t2, normal); t1 follows the
-    smallest-index coordinate axis that projects non-degenerately."""
+def _in_plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-handed in-plane frames (t1, t2, normal) for k x 3 unit normals;
+    t1 follows the smallest-index coordinate axis that projects
+    non-degenerately.  Each projection's length is the scalar BLAS norm of
+    its own row, as the triangles' bits depend on it."""
+    t1 = np.empty_like(normals)
+    todo = np.arange(len(normals))
     for axis in range(3):
-        e = np.zeros(3)
-        e[axis] = 1.0
-        w = e - (e @ normal) * normal
-        n = np.linalg.norm(w)
-        if n > 1e-8:
-            t1 = w / n
-            return t1, np.cross(normal, t1)
-    raise StructureError("degenerate normal")  # unreachable for unit normals
+        w = np.eye(3)[axis] - normals[todo, axis, None] * normals[todo]
+        norms = np.array([np.linalg.norm(row) for row in w])
+        done = norms > 1e-8
+        t1[todo[done]] = w[done] / norms[done, None]
+        todo = todo[~done]
+    if len(todo):
+        raise StructureError("degenerate normal")  # unreachable for unit normals
+    return t1, np.cross(normals, t1)
 
 
 def triangle_for_axial(
@@ -97,30 +97,29 @@ def triangle_for_axial(
             raise StructureError("force is not parallel to the bar")
         if not matches[0]:
             raise StructureError("moment is inconsistent with an axial force")
-    return _axial_loop(mid, f, m)
-
-
-def _axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray) -> LoopPath | DualChain:
-    """triangle_for_axial's geometry, unchecked; zero force gives rectangles."""
     f_norm = float(np.linalg.norm(f))
     if f_norm == 0.0:
         return synthesize_chain(Bivector6.from_force_moment(f, m))
-    n = f / f_norm
-    t1, t2 = _in_plane_frame(n)
-    # equilateral triangle: area = (3*sqrt(3)/4) * R^2 with circumradius R
-    radius = float(np.sqrt(4.0 * f_norm / (3.0 * np.sqrt(3.0))))
-    angles = 2.0 * np.pi * np.arange(3) / 3.0
-    spatial = [mid + radius * (np.cos(a) * t1 + np.sin(a) * t2) for a in angles]
+    return LoopPath.from_array(_triangles(mid[None], f[None], m[None], np.array([f_norm]))[0])
 
+
+def _triangles(mids, forces, moments, f_norms) -> np.ndarray:
+    """Vertex rows (k, 3, 4) of triangle_for_axial's triangles, unchecked, for
+    k bars with midpoints, forces, moments and nonzero force norms.  The
+    norms are each force's scalar BLAS norm, passed in so that callers test
+    the same number for zero."""
+    t1, t2 = _in_plane_frames(forces / f_norms[:, None])
+    # equilateral triangle: area = (3*sqrt(3)/4) * R^2 with circumradius R
+    radius = np.sqrt(4.0 * f_norms / (3.0 * np.sqrt(3.0)))[:, None]
+    v0, v1, v2 = (mids + radius * (c * t1 + s * t2) for c, s in _TURNS)
     # h-values from the three h-plane shoelace equations; the matrix columns
     # are the triangle edge vectors, so the min-norm solve is exact whenever
-    # moment . normal = 0 (always true for axial-consistent inputs).
-    v0, v1, v2 = spatial
-    b = np.column_stack([v2 - v1, v0 - v2, v1 - v0])
-    h, *_ = np.linalg.lstsq(b, 2.0 * m, rcond=None)
-    return LoopPath(
-        tuple(Point4(p[0], p[1], p[2], hv) for p, hv in zip(spatial, h))
-    )
+    # moment . normal = 0 (always true for axial-consistent inputs).  One
+    # LAPACK solve per bar keeps each bar's bits.
+    edges = np.stack([v2 - v1, v0 - v2, v1 - v0], axis=2)
+    h = [np.linalg.lstsq(e, 2.0 * m, rcond=None)[0] for e, m in zip(edges, moments)]
+    return np.concatenate([np.stack([v0, v1, v2], axis=1),
+                           np.reshape(h, (-1, 3, 1))], axis=2)
 
 
 def zero_bar_loop(normal, anchor: Point4 = _ORIGIN4, size: float = 1.0) -> LoopPath:
@@ -130,7 +129,7 @@ def zero_bar_loop(normal, anchor: Point4 = _ORIGIN4, size: float = 1.0) -> LoopP
     n_len = float(np.linalg.norm(n))
     if abs(n_len - 1.0) > 1e-9:
         raise StructureError("plane normal must be a unit vector")
-    t1, t2 = _in_plane_frame(n / n_len)
+    (t1,), (t2,) = _in_plane_frames((n / n_len)[None])
     c = anchor.to_array()
     arms = (size * t1, -size * t1, size * t2, -size * t2)
     verts = []
@@ -149,12 +148,18 @@ def merge_chain(chain: DualChain) -> DualChain:
     Mainly cosmetic: exports read better as one polyline than as a formal
     sum of rectangles.
     """
-    pending: list[list[Point4]] = []
+    loops = []
     for coeff, loop in chain.terms:
-        verts = list(loop.vertices if coeff > 0 else loop.reversed().vertices)
-        pending.extend([list(verts)] * abs(coeff))
+        rows = (loop if coeff > 0 else loop.reversed()).vertex_array().tolist()
+        loops += [list(map(tuple, rows))] * abs(coeff)
+    return DualChain(tuple((1, LoopPath.from_array(v)) for v in _merge_rows(loops)))
 
-    merged: list[list[Point4]] = []
+
+def _merge_rows(loops: list) -> list:
+    """merge_chain on loops given as lists of (x, y, z, h) tuples, all with
+    coefficient +1; tuples compare and hash as Point4 does."""
+    pending = list(loops)
+    merged = []
     while pending:
         current = pending.pop(0)
         changed = True
@@ -173,16 +178,11 @@ def merge_chain(chain: DualChain) -> DualChain:
                 changed = True
                 break
         merged.append(current)
-
-    terms = []
-    for verts in merged:
-        cleaned = _drop_consecutive_duplicates(verts)
-        if len(cleaned) >= 3:
-            terms.append((1, LoopPath(tuple(cleaned))))
-    return DualChain(tuple(terms))
+    cleaned = (_drop_consecutive_duplicates(verts) for verts in merged)
+    return [verts for verts in cleaned if len(verts) >= 3]
 
 
-def _shared_vertex(a: list[Point4], b: list[Point4]) -> tuple[int, int] | None:
+def _shared_vertex(a: list, b: list) -> tuple[int, int] | None:
     index = {v: i for i, v in enumerate(a)}
     for j, v in enumerate(b):
         if v in index:
@@ -190,8 +190,8 @@ def _shared_vertex(a: list[Point4], b: list[Point4]) -> tuple[int, int] | None:
     return None
 
 
-def _drop_consecutive_duplicates(verts: list[Point4]) -> list[Point4]:
-    out: list[Point4] = []
+def _drop_consecutive_duplicates(verts: list) -> list:
+    out = []
     for v in verts:
         if not out or v != out[-1]:
             out.append(v)

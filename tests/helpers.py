@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from loopstatics import Bivector6, FrameGraph, LoopPath, Point4, SelfStressState
+from loopstatics import Bivector6, DualChain, FrameGraph, LoopPath, Point4, SelfStressState
+from loopstatics.selfstress import _axial_verdicts, _bar_array, _bar_frames
 
 
 def int_k5() -> FrameGraph:
@@ -106,3 +107,169 @@ def random_planar_loop(rng: np.random.Generator) -> LoopPath:
     pts = [center + r * (np.cos(a) * t1 + np.sin(a) * t2) for a, r in zip(angles, radii)]
     loop = LoopPath(tuple(Point4(*p) for p in pts))
     return loop
+
+
+# -- reference realization: the object-based, one-loop-at-a-time code that
+# the array path in synthesis and diagrams must reproduce bit for bit --
+
+_REF_RECT_AXES = ((1, 2), (2, 0), (0, 1), (0, 3), (1, 3), (2, 3))  # jk ki ij ih jh kh
+
+
+def ref_rectangle(anchor: Point4, axis_a: int, axis_b: int, area: float) -> LoopPath:
+    base = anchor.to_array()
+    ea = np.zeros(4)
+    eb = np.zeros(4)
+    ea[axis_a] = 1.0
+    eb[axis_b] = 1.0
+    corners = (base, base + area * ea, base + area * ea + eb, base + eb)
+    return LoopPath(tuple(Point4.from_array(c) for c in corners))
+
+
+def ref_synthesize_chain(target: Bivector6, anchor: Point4 = Point4(0.0, 0.0, 0.0, 0.0)):
+    terms = []
+    for comp, (axis_a, axis_b) in zip(target.components(), _REF_RECT_AXES):
+        if comp != 0.0:
+            terms.append((1, ref_rectangle(anchor, axis_a, axis_b, comp)))
+    return DualChain(tuple(terms))
+
+
+def ref_in_plane_frame(normal: np.ndarray):
+    for axis in range(3):
+        e = np.zeros(3)
+        e[axis] = 1.0
+        w = e - (e @ normal) * normal
+        n = np.linalg.norm(w)
+        if n > 1e-8:
+            t1 = w / n
+            return t1, np.cross(normal, t1)
+    raise AssertionError("degenerate normal")
+
+
+def ref_axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray):
+    f_norm = float(np.linalg.norm(f))
+    if f_norm == 0.0:
+        return ref_synthesize_chain(Bivector6.from_force_moment(f, m))
+    n = f / f_norm
+    t1, t2 = ref_in_plane_frame(n)
+    radius = float(np.sqrt(4.0 * f_norm / (3.0 * np.sqrt(3.0))))
+    angles = 2.0 * np.pi * np.arange(3) / 3.0
+    spatial = [mid + radius * (np.cos(a) * t1 + np.sin(a) * t2) for a in angles]
+    v0, v1, v2 = spatial
+    b = np.column_stack([v2 - v1, v0 - v2, v1 - v0])
+    h, *_ = np.linalg.lstsq(b, 2.0 * m, rcond=None)
+    return LoopPath(tuple(Point4(p[0], p[1], p[2], hv) for p, hv in zip(spatial, h)))
+
+
+def ref_merge_chain(chain: DualChain) -> DualChain:
+    pending = []
+    for coeff, loop in chain.terms:
+        verts = list(loop.vertices if coeff > 0 else loop.reversed().vertices)
+        pending.extend([list(verts)] * abs(coeff))
+    merged = []
+    while pending:
+        current = pending.pop(0)
+        changed = True
+        while changed:
+            changed = False
+            for other in list(pending):
+                index = {v: i for i, v in enumerate(current)}
+                shared = next(((index[v], j) for j, v in enumerate(other) if v in index), None)
+                if shared is None:
+                    continue
+                i, j = shared
+                current = current[i:] + current[:i] + other[j:] + other[:j]
+                pending.remove(other)
+                changed = True
+                break
+        merged.append(current)
+    terms = []
+    for verts in merged:
+        out = []
+        for v in verts:
+            if not out or v != out[-1]:
+                out.append(v)
+        while len(out) > 1 and out[0] == out[-1]:
+            out.pop()
+        if len(out) >= 3:
+            terms.append((1, LoopPath(tuple(out))))
+    return DualChain(tuple(terms))
+
+
+def _ref_translate_to_center(realized):
+    def shift_for(loop):
+        return Point4.from_array(np.zeros(4) - loop.vertices[0].to_array())
+
+    if isinstance(realized, LoopPath):
+        return realized.translated(shift_for(realized))
+    if not realized.terms:
+        return realized
+    delta = shift_for(realized.terms[0][1])
+    return DualChain(tuple((c, lp.translated(delta)) for c, lp in realized.terms))
+
+
+def ref_realize_loops(graph, basis, state, per="bar", tol=1e-9, share_vertex=False,
+                      merge=False):
+    """(loops, fallbacks) as realize_state built them one loop at a time."""
+    b = _bar_array(state, basis, graph)
+    units, mids = _bar_frames(graph)
+    parallel, matches, _ = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
+    if per == "bar":
+        items = [(f"bar_{bar}", i) for i, bar in enumerate(graph.edge_ids)]
+    else:
+        col = {bar: i for i, bar in enumerate(graph.edge_ids)}
+        items = [(f"cycle_{c.generator}", col[c.generator]) for c in basis]
+    loops, fallbacks = [], []
+    for name, i in items:
+        if not b[i].any():
+            continue
+        if parallel[i] and matches[i]:
+            realized = ref_axial_loop(mids[i], b[i, :3], b[i, 3:])
+        else:
+            realized = ref_synthesize_chain(Bivector6(*b[i]), Point4(*mids[i], 0.0))
+        if isinstance(realized, DualChain):
+            fallbacks.append(name)
+            if merge:
+                realized = ref_merge_chain(realized)
+        if share_vertex:
+            realized = _ref_translate_to_center(realized)
+        loops.append((name, realized))
+    return tuple(loops), tuple(fallbacks)
+
+
+class RefMeshWriter:
+    def __init__(self):
+        self.lines = ["# loopstatics mesh 1"]
+        self.vertex_count = 0
+
+    def add_object(self, name, vertices, polylines):
+        base = self.vertex_count + 1
+        self.lines.append(f"o {name}")
+        for v in vertices:
+            self.lines.append(f"v {float(v.x)!r} {float(v.y)!r} {float(v.z)!r}")
+            self.lines.append(f"h {float(v.h)!r}")
+        self.vertex_count += len(vertices)
+        for poly in polylines:
+            self.lines.append("l " + " ".join(str(base + i) for i in poly))
+
+    def text(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+def ref_force_diagram_text(loops) -> str:
+    writer = RefMeshWriter()
+
+    def add(name, loop):
+        n = len(loop.vertices)
+        writer.add_object(name, list(loop.vertices), [list(range(n)) + [0]])
+
+    for name, realized in loops:
+        if isinstance(realized, LoopPath):
+            add(name, realized)
+        else:
+            term_no = 0
+            for coeff, loop in realized.terms:
+                oriented = loop if coeff > 0 else loop.reversed()
+                for _ in range(abs(coeff)):
+                    add(f"{name}_part{term_no}", oriented)
+                    term_no += 1
+    return writer.text()

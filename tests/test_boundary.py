@@ -146,6 +146,22 @@ class TestHugeNumbers:
         assert code == 2 and out == ""
         assert err.startswith("error: node") and err.count("\n") == 1, err
 
+    def test_diagram_lost_to_rounding_names_its_loop(self, tmp_path):
+        """K5 with every coordinate times 1e16: the per-bar triangles, of
+        side ~1 around midpoints near 1e16, round onto themselves."""
+        doc = json.loads(_k5_text())
+        for node in doc["nodes"]:
+            for axis in "xyz":
+                node[axis] *= 1e16
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_strict("export", path, "--axial", "--out-dir", tmp_path / "d")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1, err
+        first_bar = doc["bars"][0]["id"]
+        assert err.startswith(f"error: loop bar_{first_bar} collapsed under rounding"), err
+        assert "at these coordinates" in err
+
     def test_bound_is_inclusive(self):
         too_big = np.nextafter(MAX_MAGNITUDE, np.inf)
         assert parse_state(_uniform_state_text(MAX_MAGNITUDE)).resultants

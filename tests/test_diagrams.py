@@ -1,10 +1,19 @@
+import functools
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopstatics import (
+    AxialForceVector,
+    Bivector6,
     LoopPath,
     Point4,
     SelfStressState,
+    analyze_statics,
     all_bar_resultants,
     axial_selfstress_basis,
     axial_to_state,
@@ -15,10 +24,19 @@ from loopstatics import (
     prism_critical_twist,
     prism_frame,
     realize_state,
+    serialize_state,
+    serialize_structure,
 )
-from loopstatics.diagrams import form_diagram_text
+from loopstatics.cli import main
+from loopstatics.diagrams import force_diagram_text, form_diagram_text
+from loopstatics.document import document_from_graph
 
-from helpers import random_state
+from helpers import (
+    lattice_graph,
+    random_state,
+    ref_force_diagram_text,
+    ref_realize_loops,
+)
 
 
 def parse_mesh(text: str) -> dict:
@@ -172,3 +190,121 @@ class TestExport:
         b = export_diagrams(g, loops, tmp_path / "b")
         assert a[0].read_bytes() == b[0].read_bytes()
         assert a[1].read_bytes() == b[1].read_bytes()
+
+
+# -- the array realization against the one-loop-at-a-time reference --
+
+
+@functools.cache
+def _frame(kind: str):
+    if kind == "k5":
+        return k5_frame()
+    if kind == "prism":
+        return prism_frame(twist=prism_critical_twist())
+    return lattice_graph(np.random.default_rng(7), int(kind[-1]))
+
+
+def _mixed_state(rng, g, basis, kind: str) -> SelfStressState:
+    """A general state, an axial one, an axial one with some loops
+    replaced (so triangles and rectangle chains mix), or a general one with
+    zero and negative-zero components."""
+    if kind in ("general", "zeros"):
+        state = random_state(rng, basis)
+        if kind == "zeros":
+            state = SelfStressState({
+                c: Bivector6(*np.where(rng.random(6) < 0.3, rng.choice([0.0, -0.0], 6),
+                                       b.components()))
+                for c, b in state.resultants.items()
+            })
+        return state
+    null = analyze_statics(g).null_basis
+    q = rng.normal(size=len(null)) @ null if len(null) else np.zeros(g.e)
+    state = axial_to_state(g, basis, AxialForceVector(dict(zip(g.edge_ids, q))))
+    if kind == "mixed":
+        picked = set(rng.choice(len(basis), size=len(basis) // 3, replace=False).tolist())
+        state = SelfStressState({
+            c.generator: Bivector6(*rng.normal(size=6)) if k in picked
+            else state.resultant(c.generator)
+            for k, c in enumerate(basis)
+        })
+    return state
+
+
+def assert_realizations_agree(g, basis, state, **options):
+    realized = realize_state(g, basis, state, **options)
+    ref_loops, ref_fallbacks = ref_realize_loops(g, basis, state, **options)
+    text = force_diagram_text(realized)
+    assert text == ref_force_diagram_text(ref_loops)
+    assert force_diagram_text(realized.loops) == text
+    assert "np.float64(" not in text
+    assert realized.loops == ref_loops
+    assert realized.fallbacks == ref_fallbacks
+    return realized
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["k5", "prism", "lattice2", "lattice3"]),
+       state_kind=st.sampled_from(["general", "axial", "mixed", "zeros"]),
+       per=st.sampled_from(["bar", "cycle"]),
+       share_vertex=st.booleans(), merge=st.booleans())
+def test_array_realization_is_the_reference_bit_for_bit(
+        seed, kind, state_kind, per, share_vertex, merge):
+    g = _frame(kind)
+    basis = fundamental_cycles(g)
+    state = _mixed_state(np.random.default_rng(seed), g, basis, state_kind)
+    assert_realizations_agree(g, basis, state, per=per, share_vertex=share_vertex,
+                              merge=merge)
+
+
+def _k5_axial_state():
+    g = k5_frame()
+    basis = fundamental_cycles(g)
+    return g, basis, axial_to_state(g, basis, axial_selfstress_basis(g)[0])
+
+
+@pytest.mark.parametrize("merge", [False, True])
+@pytest.mark.parametrize("share_vertex", [False, True])
+def test_axial_loops_without_a_force_norm_become_rectangles_about_the_origin(
+        share_vertex, merge):
+    """Per cycle on K5's axial state, one loop given no force and a moment
+    small enough to pass, another a force whose squared norm underflows."""
+    g, basis, state = _k5_axial_state()
+    resultants = dict(state.resultants)
+    first, second = (c.generator for c in basis[:2])
+    resultants[first] = Bivector6(0.0, 0.0, 0.0, 1e-13, -2e-13, 0.0)
+    resultants[second] = Bivector6(1e-200, 0.0, 0.0, 0.0, 0.0, 0.0)
+    realized = assert_realizations_agree(
+        g, basis, SelfStressState(resultants), per="cycle",
+        share_vertex=share_vertex, merge=merge)
+    assert realized.fallbacks == (f"cycle_{first}", f"cycle_{second}")
+
+
+def test_cli_export_builds_no_loop_objects(tmp_path, monkeypatch):
+    """`export` goes from vertex arrays to the file: counted, no Point4 or
+    LoopPath is made, and each file is the reference text."""
+    g = lattice_graph(np.random.default_rng(8), 3)
+    basis = fundamental_cycles(g)
+    state = _mixed_state(np.random.default_rng(9), g, basis, "mixed")
+    (tmp_path / "s.json").write_text(serialize_structure(document_from_graph(g)))
+    (tmp_path / "st.json").write_text(serialize_state(state))
+    runs = {
+        "bars": ([], {}),
+        "merged": (["--merge-loops"], {"merge": True}),
+        "shared": (["--loops", "cycles", "--share-vertex"],
+                   {"per": "cycle", "share_vertex": True}),
+    }
+    made = []
+    for cls in (Point4, LoopPath):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, init=cls.__post_init__: made.append(self) or init(self))
+    for name, (flags, _) in runs.items():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["export", str(tmp_path / "s.json"), "--state", str(tmp_path / "st.json"),
+                         *flags, "--out-dir", str(tmp_path / name)])
+        assert code == 0
+    assert made == []
+    monkeypatch.undo()
+    for name, (_, options) in runs.items():
+        ref_loops, _ = ref_realize_loops(g, basis, state, **options)
+        assert (tmp_path / name / "force.obj").read_text() == ref_force_diagram_text(ref_loops)

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopstatics import (
+    Bivector6,
+    SelfStressState,
     analyze_statics,
     axial_to_state,
     build_report,
@@ -82,11 +84,72 @@ def test_without_statics(kind):
         assert_serializers_agree(report)
 
 
+def _check_state(g, kind: str):
+    """A state as `check` reads one: general, axial, axial with one loop
+    replaced (so both verdicts occur), or general with zero and negative
+    zero components."""
+    basis = fundamental_cycles(g)
+    rng = np.random.default_rng(23)
+    if kind in ("general", "zeros"):
+        state = random_state(rng, basis)
+        if kind == "general":
+            return state
+        return SelfStressState({
+            c: Bivector6(*np.where(rng.random(6) < 0.4, rng.choice([0.0, -0.0], 6),
+                                   b.components()))
+            for c, b in state.resultants.items()
+        })
+    state = _state(g, "axial")
+    if kind == "axial":
+        return state
+    resultants = dict(state.resultants)
+    resultants[basis[0].generator] = Bivector6(*rng.normal(size=6))
+    return SelfStressState(resultants)
+
+
+@pytest.mark.parametrize("names", list(_NAMES))
+@pytest.mark.parametrize("state", ["general", "axial", "mixed", "zeros"])
+@pytest.mark.parametrize("kind", ["k5", "critical-prism", "lattice"])
+def test_check_reports_serialize_like_the_stdlib(kind, state, names):
+    g = _frame(kind, names)
+    report = build_report(g, state=_check_state(g, state), with_statics=False)
+    assert_serializers_agree(report)
+    verdicts = {row["is_axial"] for row in report.to_dict()["axial_check"]}
+    assert verdicts == {"axial": {True}, "mixed": {True, False}}.get(state, verdicts)
+    assert "np.float64(" not in report.to_json() + report.to_text()
+
+
+def test_negative_zeros_and_both_verdicts_keep_their_text():
+    report = build_report(k5_frame(), state=_check_state(k5_frame(), "mixed"))
+    bars, nodes = report.bar_table.copy(), report.node_table.copy()
+    bars[0, :] = -0.0
+    nodes[1, 3:] = -0.0
+    report = dataclasses.replace(report, bar_table=bars, node_table=nodes)
+    text = report.to_json()
+    assert '"axial_force": -0.0' in text and "true" in text and "false" in text
+    assert_serializers_agree(report)
+
+
+@pytest.mark.parametrize("table", ["bar_table", "node_table"])
+def test_non_finite_table_is_rejected_like_the_stdlib(table):
+    report = build_report(k5_frame(), state=_check_state(k5_frame(), "general"))
+    bad = getattr(report, table).copy()
+    bad[1, 2] = np.inf
+    report = dataclasses.replace(report, **{table: bad})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        json.dumps(report.to_dict(), allow_nan=False)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        report.to_json()
+
+
 def test_tuple_bar_ids_are_indented_as_nested_lists():
     # JSON turns tuple ids into lists, so only the text is compared
-    report = build_report(int_k5())
+    g = int_k5()
+    report = build_report(g, state=random_state(np.random.default_rng(24),
+                                                fundamental_cycles(g)))
     assert '"selfstress_basis": [\n      [\n        [\n          [\n            0,' \
         in report.to_json()
+    assert '"bar": [\n        0,\n        1\n      ],' in report.to_json()
     assert_serializers_agree(report, same_values=False)
 
 

@@ -234,6 +234,25 @@ class TestSelfStressCheck:
             with pytest.raises(StructureError, match="not a self-stress"):
                 axial_to_state(g, basis, AxialForceVector(dict(zip(g.edge_ids, bumped))))
 
+    @pytest.mark.parametrize("name", ["k5", "critical-prism", "lattice"])
+    def test_state_is_the_per_loop_construction_bitwise(self, name):
+        """The one-pass state equals, bit for bit, each loop's generator force
+        q u and moment midpoint x force built one loop at a time."""
+        g = _sample_frames()[name]
+        basis = fundamental_cycles(g)
+        summary = analyze_statics(g)
+        mix = np.random.default_rng(18).normal(size=summary.s) @ summary.null_basis
+        for qv in (summary.null_basis[0], mix):
+            q = AxialForceVector(dict(zip(g.edge_ids, qv)))
+            state = axial_to_state(g, basis, q)
+            assert list(state.resultants) == [c.generator for c in basis]
+            for cycle in basis:
+                force = q[cycle.generator] * g.direction(cycle.generator)
+                moment = np.cross(g.midpoint(cycle.generator), force)
+                expected = np.concatenate([force, moment])
+                got = state.resultant(cycle.generator).components()
+                assert got.tobytes() == expected.tobytes()
+
 
 def _random_rotation(rng):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
