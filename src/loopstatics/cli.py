@@ -29,11 +29,6 @@ from .statics import analyze_statics, axial_to_state
 from .structures import prism_critical_twist
 
 
-# Reports go to files in slices of this many characters, so that a large
-# one is never held twice, as text and as its encoded bytes.
-_WRITE_CHUNK = 1 << 20
-
-
 def _parse_node_id(text: str):
     """Interpret a node id flag: JSON scalars stay typed, else a string."""
     try:
@@ -49,13 +44,14 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _emit(text: str, out: str | None):
+def _emit(text, out: str | None):
+    """Write text, or its pieces in order, to the `out` file or stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            for i in range(0, len(text), _WRITE_CHUNK):
-                fh.write(text[i:i + _WRITE_CHUNK])
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load(args):
@@ -65,8 +61,9 @@ def _load(args):
     return graph, tree, fundamental_cycles(graph, tree)
 
 
-def _report_text(report, fmt: str) -> str:
-    return report.to_text() if fmt == "text" else report.to_json()
+def _report_text(report, fmt: str):
+    """The report as text, or as the pieces of its JSON."""
+    return report.to_text() if fmt == "text" else report.json_pieces()
 
 
 def _add_common(p):
@@ -192,8 +189,8 @@ def _cmd_export(args) -> int:
             merge=args.merge_loops,
         )
         for name in realized.fallbacks:
-            print(f"note: {name} is not axial; exported as a rectangle chain",
-                  file=sys.stderr)
+            why = "carries no force" if name in realized.forceless else "is not axial"
+            print(f"note: {name} {why}; exported as a rectangle chain", file=sys.stderr)
     paths = export_diagrams(graph, realized, args.out_dir)
     for p in paths:
         print(p)

@@ -31,9 +31,12 @@ class RealizedDiagram:
     loop is a list of (x, y, z, h) float tuples, closed back to its first
     vertex.  A chain item is a chain of rectangles, the fallback for a
     resultant that no triangle carries; any other item is one triangle.
+    `forceless` names the chain items that pass the axial test but carry
+    no force.
     """
 
     items: tuple
+    forceless: tuple = ()
 
     @property
     def loops(self) -> tuple:
@@ -120,7 +123,9 @@ def realize_state(
         items.append((name, True, _merge_rows(loops) if merge else loops))
     if share_vertex:
         items = _translate_to_center(names, items)
-    return RealizedDiagram(tuple(items))
+    forceless = (name for name, is_axial, drawn in zip(names, axial.tolist(), tri.tolist())
+                 if is_axial and not drawn)
+    return RealizedDiagram(tuple(items), tuple(forceless))
 
 
 def _check_loops(names, vertices, sizes, owners) -> None:

@@ -101,47 +101,56 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         """Byte for byte `json.dumps(self.to_dict(), indent=2, allow_nan=False)`
-        plus a newline.  The tables are written straight from the report's
-        arrays and cycle rows: each row fills one template, laid out as the
-        stdlib lays out a row of slots, and each null-basis vector fills
-        one template of `[bar, %r]` pairs.  Floats go through `%r`, as JSON
-        writes them with `float.__repr__`."""
+        plus a newline: the pieces of `json_pieces`, joined."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self):
+        """The text of `to_json` as an iterator of pieces, so that a writer
+        never holds more than one row: the stdlib's indented layout of the
+        report without its tables, cut at each table, and each table row,
+        written straight from the report's arrays and cycle rows.  Each row
+        fills one template, laid out as the stdlib lays out a row of slots,
+        and each null-basis vector fills one template of `[bar, %r]` pairs,
+        formatted when its piece is taken.  Floats go through `%r`, as JSON
+        writes them with `float.__repr__`.  Non-finite tables raise
+        ValueError here, before any piece."""
         for table in (self.bar_table, self.node_table, self.null_basis):
             if table is not None and not np.isfinite(table).all():
                 raise ValueError("Out of range float values are not JSON compliant")
         empty = self._document({key: [] for key in _TABLES})
-        return _splice(json.dumps(empty, indent=2, allow_nan=False) + "\n", self._table_texts())
+        return _splice(json.dumps(empty, indent=2, allow_nan=False) + "\n", self._table_rows())
 
-    def _table_texts(self) -> list:
-        """(key, indent of the key, row texts) of each table, in document order."""
+    def _table_rows(self) -> list:
+        """(key, indent of the key, iterator of row texts) of each table in
+        the document, in document order."""
         bar_ids = [json.dumps(e, indent=2) for e in self.edge_ids]
         in_row = dict(zip(self.edge_ids, _nested(bar_ids, 6)))
         in_pair = dict(zip(self.edge_ids, _nested(bar_ids, 10)))
         chain_sep = ",\n" + " " * 8
-        cycles = [
+        cycles = (
             _CYCLE_ROW % (in_row[c["generator"]],
                           chain_sep.join(_PAIR % (in_pair[e], k) for e, k in c["chain"]))
             for c in self.cycles
-        ]
-        basis = bars = nodes = checks = []
+        )
+        tables = [("cycles", 2, cycles)]
         if self.null_basis is not None:
             template = _vector_template(in_pair.values())
-            # one row of Python floats at a time; all rows at once hold ~32 MB
-            # more on a 1638-bar lattice
-            basis = [template % tuple(row.tolist()) for row in self.null_basis]
+            # one row of Python floats at a time
+            tables.append(("selfstress_basis", 4,
+                           (template % tuple(row.tolist()) for row in self.null_basis)))
+        bars = nodes = checks = ()
         if self.bar_table is not None:
             table = self.bar_table.tolist()
-            bars = [_BAR_ROW % (in_row[e], *r) for e, r in zip(self.edge_ids, table)]
+            bars = (_BAR_ROW % (in_row[e], *r) for e, r in zip(self.edge_ids, table))
             node_ids = _nested([json.dumps(n, indent=2) for n in self.node_ids], 6)
-            nodes = [_NODE_ROW % (n, *r) for n, r in zip(node_ids, self.node_table.tolist())]
+            nodes = (_NODE_ROW % (n, *r) for n, r in zip(node_ids, self.node_table.tolist()))
             json_bool = {True: "true", False: "false"}
-            checks = [
+            checks = (
                 _CHECK_ROW % (in_row[e], json_bool[p and m], json_bool[p], json_bool[m], r[6])
                 for e, (p, m), r in zip(self.edge_ids, self.verdicts.tolist(), table)
-            ]
-        return [("cycles", 2, cycles), ("selfstress_basis", 4, basis),
-                ("bar_resultants", 2, bars), ("node_residuals", 2, nodes),
-                ("axial_check", 2, checks)]
+            )
+        return tables + [("bar_resultants", 2, bars), ("node_residuals", 2, nodes),
+                         ("axial_check", 2, checks)]
 
     def to_text(self) -> str:
         c = self.counts
@@ -218,24 +227,22 @@ def _nested(dumped: list, depth: int) -> list:
     return [text.replace("\n", "\n" + " " * depth) for text in dumped]
 
 
-def _splice(text: str, tables: list) -> str:
-    """`text` with each non-empty table's rows in place of its `[]`.  The
-    rows are joined once, with the rest, so that a large table is held
-    only as its rows and as the result."""
-    pieces, pos = [], 0
+def _splice(text: str, tables: list):
+    """Pieces of `text` with each table's rows in place of its `[]`; a
+    table without rows keeps its `[]`."""
+    pos = 0
     for key, indent, rows in tables:
-        if not rows:
-            continue
         mark = f'"{key}": []'
         at = text.index(mark, pos)
+        yield text[pos:at]
         pad = "\n" + " " * (indent + 2)
-        pieces += (text[pos:at], f'"{key}": [', pad)
+        first = True
         for row in rows:
-            pieces += (row, "," + pad)
-        pieces[-1] = "\n" + " " * indent + "]"
+            yield (f'"{key}": [' if first else ",") + pad + row
+            first = False
+        yield mark if first else "\n" + " " * indent + "]"
         pos = at + len(mark)
-    pieces.append(text[pos:])
-    return "".join(pieces)
+    yield text[pos:]
 
 
 def _chain_rows(cycle: FundamentalCycle) -> list:

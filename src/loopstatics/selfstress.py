@@ -121,20 +121,33 @@ def _bar_array(state: SelfStressState, basis: list, graph: FrameGraph) -> np.nda
 def _node_array(graph: FrameGraph, b: np.ndarray) -> np.ndarray:
     """Node balance for every node: the v x k incidence-signed sum of the
     e x k bar rows, accumulated per node in bar input order."""
-    row = {node: i for i, node in enumerate(graph.node_ids)}
-    ends = [row[end] for bar in graph.edge_ids for end in graph.ends(bar)]
     signs = np.tile([-1.0, 1.0], graph.e)[:, None]  # (tail, head) of each bar
     n = np.zeros((graph.v, b.shape[1]))
-    np.add.at(n, np.array(ends, dtype=int), signs * np.repeat(b, 2, axis=0))
+    np.add.at(n, _end_rows(graph).ravel(), signs * np.repeat(b, 2, axis=0))
     return n
 
 
+def _end_rows(graph: FrameGraph) -> np.ndarray:
+    """e x 2 node indices of every bar's (tail, head)."""
+    row = {node: i for i, node in enumerate(graph.node_ids)}
+    ends = [row[end] for bar in graph.edge_ids for end in graph.ends(bar)]
+    return np.array(ends, dtype=int).reshape(-1, 2)
+
+
 def _bar_frames(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Unit direction and midpoint of every bar (e x 3 each)."""
-    return tuple(
-        np.array([at(bar) for bar in graph.edge_ids]).reshape(-1, 3)
-        for at in (graph.direction, graph.midpoint)
-    )
+    """Unit direction and midpoint of every bar (e x 3 each), bit for bit
+    `graph.direction` and `graph.midpoint`: the positions are gathered
+    once, and each length is the square root of one scalar dot product,
+    as np.linalg.norm takes it; row-wise norms can differ in the last bit."""
+    pos = np.array([graph.position(n) for n in graph.node_ids])
+    ends = _end_rows(graph)
+    tail, head = pos[ends[:, 0]], pos[ends[:, 1]]
+    d = head - tail
+    lengths = np.sqrt([x.dot(x) for x in d])
+    if not lengths.all():
+        bar = graph.edge_ids[int(np.argmin(lengths != 0.0))]
+        raise StructureError(f"bar {bar!r} has coincident endpoints")
+    return d / lengths[:, None], 0.5 * (tail + head)
 
 
 def _axial_verdicts(forces, moments, units, mids, tol: float):

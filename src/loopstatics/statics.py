@@ -18,7 +18,7 @@ import numpy as np
 from .chains import EdgeId, FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
-from .selfstress import SelfStressState, _bar_frames, _node_array
+from .selfstress import SelfStressState, _bar_frames, _end_rows, _node_array
 from .wedge import Bivector6
 
 
@@ -68,45 +68,171 @@ class StaticsSummary:
 
 
 def equilibrium_matrix(graph: FrameGraph) -> EquilibriumMatrix:
-    rows = {n: 3 * i for i, n in enumerate(graph.node_ids)}
+    units, _ = _bar_frames(graph)  # raises on coincident endpoints
+    rows = 3 * _end_rows(graph)[:, :, None] + np.arange(3)  # e x (tail, head) x 3
     a = np.zeros((3 * graph.v, graph.e))
-    for col, edge in enumerate(graph.edge_ids):
-        u = graph.direction(edge)  # raises on coincident endpoints
-        tail, head = graph.ends(edge)
-        a[rows[head] : rows[head] + 3, col] = u
-        a[rows[tail] : rows[tail] + 3, col] = -u
+    a[rows, np.arange(graph.e)[:, None, None]] = np.stack([-units, units], axis=1)
     return EquilibriumMatrix(matrix=a, node_ids=graph.node_ids, edge_ids=graph.edge_ids)
 
 
 def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     """Rank, self-stress and mechanism counts, and an orthonormal null basis.
 
-    Singular values below rtol times the largest are treated as zero.  Each
-    null-basis row is signed so that its largest-magnitude entry (the first
-    one, on ties) is positive.
+    Singular values at or below rtol times the largest are treated as zero;
+    rtol is at least numpy's default rank tolerance, max(3v, e) machine
+    epsilons.
+
+    The null basis is the force method's: the redundant bars F are the bars
+    whose column of the equilibrium matrix depends on the columns before it
+    (in bar input order), the reduced form N is the null basis with
+    N[:, F] = I, and the rows are the orthonormal factor of the QR of N^T
+    whose R has a positive diagonal.  The basis is thus a function of the
+    frame alone, up to rounding.
     """
-    eq = equilibrium_matrix(graph)
-    _, sigma, vt = np.linalg.svd(eq.matrix)
-    if sigma.size and sigma[0] > 0:
-        rank = int(np.sum(sigma > rtol * sigma[0]))
+    a = equilibrium_matrix(graph).matrix
+    if a.size > _EXACT_SVD_SIZE:
+        sigma = np.linalg.svd(a, compute_uv=False)
     else:
-        rank = 0
+        sigma = np.linalg.svd(a, full_matrices=False)[1]
+    # a tolerance below numpy's default rank tolerance would count rounding
+    # noise as rank, and let it pass for independent columns
+    cut = max(rtol, max(a.shape) * np.finfo(float).eps) * sigma[0] if sigma.size else 0.0
+    rank = int(np.sum(sigma > cut))
     s = graph.e - rank
-    m = 3 * graph.v - 6 - rank
-    null = vt[rank:].copy()
-    if s:
-        lead = null[np.arange(s), np.abs(null).argmax(axis=1)]
-        null[lead < 0] *= -1.0
-    sigma_min = float(sigma[rank - 1]) if rank > 0 else None
+    null = _force_method_basis(a, cut, s) if s else np.zeros((0, graph.e))
     return StaticsSummary(
         s=s,
-        m=m,
+        m=3 * graph.v - 6 - rank,
         rank=rank,
-        sigma_min=sigma_min,
+        sigma_min=float(sigma[rank - 1]) if rank > 0 else None,
         singular_values=sigma,
         null_basis=null,
-        edge_ids=eq.edge_ids,
+        edge_ids=graph.edge_ids,
     )
+
+
+# Equilibrium matrices with at most this many entries (a few dozen bars)
+# take their singular values from the reduced SVD, which costs them a few
+# microseconds more than the values alone and gives the full SVD's values
+# to the bit, so such a frame's reported sigma_min does not move.  Larger
+# ones take the values alone, in under half the time.
+_EXACT_SVD_SIZE = 1 << 10
+# Columns of the equilibrium matrix taken together by the redundant-bar
+# search; its Python iterations scale with blocks plus redundant bars.
+_BLOCK = 64
+
+
+def _force_method_basis(a: np.ndarray, cut: float, s: int) -> np.ndarray:
+    """The s x e orthonormalized reduced form of a's null space; `cut` is
+    the rank cut that a column's scaled residual must exceed."""
+    qt, rinv, redundant = _redundant_bars(a, cut)
+    if redundant.size != s:
+        raise StructureError(
+            f"rank cut is ambiguous at this tolerance: the singular values give "
+            f"s = {s}, but {redundant.size} bars depend on the bars before them"
+        )
+    basic = np.ones(a.shape[1], dtype=bool)
+    basic[redundant] = False
+    n = np.zeros((a.shape[1], s))  # N^T
+    n[redundant, np.arange(s)] = 1.0
+    n[basic] = -(rinv @ (qt @ a[:, redundant]))
+    v = _positive_qr(n)
+    del n
+    # one correction step: re-solve the basic part against the residual
+    v[basic] -= rinv @ (qt @ (a @ v))
+    return _positive_qr(v).T
+
+
+def _redundant_bars(a: np.ndarray, cut: float) -> tuple:
+    """Blocked Gram-Schmidt over a's columns in order.
+
+    Returns qt, orthonormal rows spanning the independent (basic) columns,
+    the inverse of their triangular factor (a[:, basic] = qt.T @ r), and
+    the sorted indices of the redundant columns.  A column is redundant
+    when its residual against the earlier basic columns, over the norm of
+    (its coefficients on them, -1), is at most `cut`: that is the norm of
+    a unit combination of the columns up to it, and unlike the bare
+    residual it does not grow with the rounding of large coefficients.
+
+    Each block is projected against the basis, and the QR of its residuals
+    gives them in a small orthonormal frame, where `_select_in_order` picks
+    the basic columns.  Their directions are projected against the basis
+    a second time before they join it."""
+    rows, e = a.shape
+    size = min(rows, e)
+    qt, rinv = np.empty((size, rows)), np.zeros((size, size))
+    rank, redundant = 0, []
+    for start in range(0, e, _BLOCK):
+        cols = np.arange(start, min(start + _BLOCK, e))
+        q = qt[:rank]
+        block = a[:, cols]
+        used = np.flatnonzero(block.any(axis=1))  # a is sparse
+        c = q[:, used] @ block[used]
+        x = block - q.T @ c  # a[:, cols] = q.T @ c + x
+        # a bare residual at most `cut` is redundant whatever its coefficients
+        keep = _column_sq(x) > cut * cut
+        redundant += cols[~keep].tolist()
+        cols, x = cols[keep], x[:, keep]
+        coef = rinv[:rank, :rank] @ c[:, keep]  # on the basic columns
+        z = np.linalg.qr(x, mode="r")
+        basic, dropped = _select_in_order(z, coef, cut)
+        redundant += cols[dropped].tolist()
+        if not basic.size:
+            continue
+        x = x[:, basic]
+        v = x @ np.linalg.inv(np.linalg.qr(z[:, basic], mode="r"))  # orthonormal to rounding
+        y = _positive_qr(v - q.T @ (q @ v))
+        d_inv = np.linalg.inv(y.T @ x)
+        p = basic.size
+        qt[rank:rank + p] = y.T
+        rinv[:rank, rank:rank + p] = -coef[:, basic] @ d_inv
+        rinv[rank:rank + p, rank:rank + p] = d_inv
+        rank += p
+    return qt[:rank], rinv[:rank, :rank], np.array(sorted(redundant), dtype=int)
+
+
+def _select_in_order(z: np.ndarray, coef: np.ndarray, cut: float) -> tuple:
+    """(basic, redundant) positions among a block's columns, given in an
+    orthonormal frame as z, with `coef` their coefficients on the earlier
+    basic columns.  A QR accepts the prefix up to the first redundant
+    column; the rest, in the QR's frame past the prefix, go round again
+    with their coefficients on the prefix added."""
+    idx, basic, redundant = np.arange(z.shape[1]), [], []
+    while idx.size:
+        keep = _column_sq(z) > cut * cut * (1.0 + _column_sq(coef))
+        redundant += idx[~keep].tolist()
+        idx, z, coef = idx[keep], z[:, keep], coef[:, keep]
+        if not idx.size:
+            break
+        r = np.linalg.qr(z, mode="r")
+        diag = np.abs(np.diagonal(r))
+        small = np.flatnonzero(diag <= cut)
+        p = int(small[0]) if small.size else diag.size
+        # columns of the inverse factor of [basic columns, prefix]
+        inv_r = np.linalg.inv(r[:p, :p])
+        small = np.flatnonzero((_column_sq(coef[:, :p] @ inv_r) + _column_sq(inv_r)) * (cut * cut) >= 1.0)
+        p = int(small[0]) if small.size else p
+        basic += idx[:p].tolist()
+        if p == idx.size:
+            break
+        redundant.append(int(idx[p]))
+        rest, inv_r = slice(p + 1, None), inv_r[:p, :p]
+        on_prefix = inv_r @ r[:p, rest]
+        coef = np.vstack([coef[:, rest] - coef[:, :p] @ on_prefix, on_prefix])
+        idx, z = idx[rest], r[p:, rest]
+    return np.array(basic, dtype=int), np.array(redundant, dtype=int)
+
+
+def _column_sq(x: np.ndarray) -> np.ndarray:
+    """Squared norm of every column."""
+    return np.einsum("ij,ij->j", x, x)
+
+
+def _positive_qr(x: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization x = QR whose R has a positive diagonal."""
+    q, r = np.linalg.qr(x)
+    q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    return q
 
 
 def axial_selfstress_basis(graph: FrameGraph, rtol: float = 1e-9) -> list[AxialForceVector]:

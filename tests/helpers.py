@@ -273,3 +273,27 @@ def ref_force_diagram_text(loops) -> str:
                     add(f"{name}_part{term_no}", oriented)
                     term_no += 1
     return writer.text()
+
+
+# -- reference statics: the per-bar code that the array path in selfstress
+# and statics must reproduce bit for bit --
+
+
+def ref_bar_frames(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Unit direction and midpoint of every bar, one bar at a time."""
+    return tuple(
+        np.array([at(bar) for bar in graph.edge_ids]).reshape(-1, 3)
+        for at in (graph.direction, graph.midpoint)
+    )
+
+
+def ref_equilibrium_matrix(graph: FrameGraph) -> np.ndarray:
+    """The equilibrium matrix filled column by column."""
+    rows = {n: 3 * i for i, n in enumerate(graph.node_ids)}
+    a = np.zeros((3 * graph.v, graph.e))
+    for col, edge in enumerate(graph.edge_ids):
+        u = graph.direction(edge)
+        tail, head = graph.ends(edge)
+        a[rows[head] : rows[head] + 3, col] = u
+        a[rows[tail] : rows[tail] + 3, col] = -u
+    return a

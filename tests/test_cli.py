@@ -6,6 +6,8 @@ import pytest
 from loopstatics import (
     Bivector6,
     SelfStressState,
+    axial_selfstress_basis,
+    axial_to_state,
     fundamental_cycles,
     k5_frame,
     serialize_state,
@@ -113,6 +115,24 @@ class TestExport:
         assert (out_dir / "force.obj").exists()
         assert (out_dir / "force.obj").read_text().count("o cycle_") == 6
 
+    def test_forceless_axial_loop_note_names_the_cause(self, capsys, tmp_path, k5_path):
+        """A loop that passes the axial test with zero force is drawn as
+        rectangles; its note must not call it not axial."""
+        g = k5_frame()
+        basis = fundamental_cycles(g)
+        state = axial_to_state(g, basis, axial_selfstress_basis(g)[0])
+        resultants = dict(state.resultants)
+        resultants["o01"] = Bivector6(*[0.0] * 3, 1e-13, -2e-13, 0.0)
+        state_path = tmp_path / "state.json"
+        state_path.write_text(serialize_state(SelfStressState(resultants)))
+        code, out, _ = run(capsys, "check", str(k5_path), "--state", str(state_path),
+                           "--format", "text")
+        assert code == 0 and "axial check o01: pass" in out
+        code, _, err = run(capsys, "export", str(k5_path), "--state", str(state_path),
+                           "--loops", "cycles", "--out-dir", str(tmp_path / "d"))
+        assert code == 0
+        assert err == "note: cycle_o01 carries no force; exported as a rectangle chain\n"
+
     def test_untwisted_prism_has_nothing_to_export(self, capsys, tmp_path):
         prism_path = tmp_path / "prism.json"
         run(capsys, "gen", "prism", "--twist", "0.0", "-o", str(prism_path))
@@ -179,6 +199,13 @@ class TestErrors:
         code, _, err = run(capsys, "cycles", str(tmp_path / "absent.json"))
         assert code == 2
         assert "error" in err
+
+    def test_ambiguous_rank_cut_exits_2(self, capsys, k5_path):
+        """At a tolerance inside K5's singular values the redundant bars,
+        read in bar order, do not match the rank: a defined error."""
+        code, out, err = run(capsys, "axial", str(k5_path), "--tol", "0.2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rank cut is ambiguous") and err.count("\n") == 1
 
     def test_unwritable_export_path(self, capsys, tmp_path, k5_path):
         blocker = tmp_path / "blocker"

@@ -22,6 +22,7 @@ from loopstatics import (
     k5_frame,
     prism_critical_twist,
     prism_frame,
+    serialize_state,
     serialize_structure,
 )
 from loopstatics.cli import main
@@ -175,7 +176,7 @@ def test_random_lattices_serialize_alike(seed, side, names, state):
 
 
 def test_report_file_is_the_stdout_text(tmp_path):
-    """A report of several MB is written to its file in slices, unchanged."""
+    """A report of several MB is written to its file in pieces, unchanged."""
     g = lattice_graph(np.random.default_rng(22), 5)  # s = 171
     path = tmp_path / "s.json"
     path.write_text(serialize_structure(document_from_graph(g)))
@@ -185,3 +186,39 @@ def test_report_file_is_the_stdout_text(tmp_path):
         assert main(["axial", str(path), "-o", str(tmp_path / "r.json")]) == 0
     assert len(out.getvalue()) > 3 << 20
     assert (tmp_path / "r.json").read_text() == out.getvalue()
+
+
+def _cli_report(g, command: str, state):
+    """The report that `loopstatics <command>` builds for g."""
+    basis = fundamental_cycles(g)
+    if command == "axial":
+        summary = analyze_statics(g)
+        axial = axial_to_state(g, basis, summary.axial_vector(0)) if summary.s else None
+        return build_report(g, basis=basis, summary=summary, state=axial)
+    return build_report(g, basis=basis, state=state, with_statics=False)
+
+
+@pytest.mark.parametrize("command", ["axial", "cycles", "check"])
+@pytest.mark.parametrize("kind", ["k5", "critical-prism", "lattice"])
+def test_file_stdout_and_to_json_are_the_same_bytes(tmp_path, kind, command):
+    """The CLI writes the report's pieces to the -o file and to stdout; both
+    are to_json() byte for byte, with a state (axial, check) and without
+    (cycles)."""
+    g = _FRAMES[kind]()
+    path = tmp_path / "s.json"
+    path.write_text(serialize_structure(document_from_graph(g)))
+    state = None
+    argv = [command, str(path)]
+    if command == "check":
+        state = random_state(np.random.default_rng(25), fundamental_cycles(g))
+        (tmp_path / "state.json").write_text(serialize_state(state))
+        argv += ["--state", str(tmp_path / "state.json")]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+        assert main(argv + ["-o", str(tmp_path / "r.json")]) == 0
+    report = _cli_report(g, command, state)
+    assert (command != "cycles") == (report.bar_table is not None)
+    text = report.to_json()
+    assert text == "".join(report.json_pieces())
+    assert (tmp_path / "r.json").read_bytes() == out.getvalue().encode() == text.encode()

@@ -23,9 +23,9 @@ from loopstatics import (
     selfstress_dimension,
 )
 
-from loopstatics.selfstress import _bar_array, _node_array
+from loopstatics.selfstress import _bar_array, _bar_frames, _node_array
 
-from helpers import random_connected_graph, random_state
+from helpers import lattice_graph, random_connected_graph, random_state, ref_bar_frames
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +229,10 @@ def test_array_core_matches_the_per_bar_and_per_node_definitions(seed):
         assert np.array_equal(
             np.concatenate(residual_at_node(reference, node, g)), n[k]
         )
+
+
+def test_bar_frames_are_the_per_bar_geometry_bitwise():
+    rng = np.random.default_rng(19)
+    for g in [k5_frame(), lattice_graph(rng, 3), *(random_connected_graph(rng) for _ in range(10))]:
+        for got, expected in zip(_bar_frames(g), ref_bar_frames(g)):
+            assert got.tobytes() == expected.tobytes()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,7 @@ from loopstatics import (
 )
 from loopstatics.structures import PRISM_CABLES, PRISM_STRUTS
 
-from helpers import lattice_graph, random_connected_graph
+from helpers import lattice_graph, random_connected_graph, ref_equilibrium_matrix
 
 
 def single_bar():
@@ -41,6 +46,10 @@ class TestEquilibriumMatrix:
             g = random_connected_graph(rng)
             a = equilibrium_matrix(g).matrix
             assert np.allclose(np.linalg.norm(a, axis=0), np.sqrt(2.0))
+
+    def test_matrix_is_the_column_loop_bitwise(self):
+        for g in _sample_frames().values():
+            assert equilibrium_matrix(g).matrix.tobytes() == ref_equilibrium_matrix(g).tobytes()
 
     def test_zero_length_bar_rejected(self):
         g = FrameGraph(
@@ -94,6 +103,13 @@ class TestCounts:
                 continue
             s, m = maxwell_calladine(g)
             assert s - m == g.e - 3 * g.v + 6
+
+    @pytest.mark.parametrize("rtol", [0.0, 1e-300, -1.0])
+    def test_tolerance_below_rounding_acts_as_the_rounding_floor(self, rtol):
+        for g in (k5_frame(), lattice_graph(np.random.default_rng(15), 3)):
+            summary, default = analyze_statics(g, rtol=rtol), analyze_statics(g)
+            assert (summary.s, summary.rank) == (default.s, default.rank)
+            assert np.allclose(summary.null_basis, default.null_basis, rtol=0, atol=1e-12)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(StructureError, match="at least 3"):
@@ -184,23 +200,80 @@ def _sample_frames():
     }
 
 
-def _normalized_sign(vec: np.ndarray) -> np.ndarray:
-    """The per-vector sign rule: the largest-magnitude entry, the first one
-    on ties, is made positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    return -vec if vec[idx] < 0 else vec
+def _redundant_bars(a: np.ndarray, rtol: float = 1e-9) -> list:
+    """The bars whose column depends on the columns before it: the prefix's
+    rank, from singular values cut at rtol times a's largest, stays put."""
+    cut = rtol * np.linalg.svd(a, compute_uv=False)[0]
+    ranks = [int(np.sum(np.linalg.svd(a[:, :j], compute_uv=False) > cut))
+             for j in range(a.shape[1] + 1)]
+    return [j for j in range(a.shape[1]) if ranks[j + 1] == ranks[j]]
+
+
+_BASIS_SCRIPT = """
+import sys
+import numpy as np
+from helpers import lattice_graph
+from loopstatics import analyze_statics
+np.save(sys.argv[1], analyze_statics(lattice_graph(np.random.default_rng(22), 5)).null_basis)
+"""
 
 
 class TestNullBasis:
     @pytest.mark.parametrize("name", list(_sample_frames()))
-    def test_rows_are_the_sign_normalized_svd_rows_bitwise(self, name):
+    def test_rows_are_the_orthonormalized_reduced_form(self, name):
+        """The rows are the positive-diagonal QR of the reduced form N, the
+        null basis with N[:, F] = I for the redundant bars F, and span the
+        SVD null space."""
         g = _sample_frames()[name]
         summary = analyze_statics(g)
-        _, _, vt = np.linalg.svd(equilibrium_matrix(g).matrix)
-        assert summary.null_basis.shape == (summary.s, g.e)
+        a = equilibrium_matrix(g).matrix
+        v = summary.null_basis
+        assert v.shape == (summary.s, g.e)
         assert summary.edge_ids == g.edge_ids
-        for row, expected in zip(summary.null_basis, vt[summary.rank:]):
-            assert row.tobytes() == _normalized_sign(expected).tobytes()
+        redundant = _redundant_bars(a)
+        basic = [j for j in range(g.e) if j not in redundant]
+        assert len(redundant) == summary.s
+        n = np.zeros((summary.s, g.e))
+        n[:, redundant] = np.eye(summary.s)
+        n[:, basic] = -np.linalg.lstsq(a[:, basic], a[:, redundant], rcond=None)[0].T
+        q, r = np.linalg.qr(n.T)
+        q *= np.sign(np.diagonal(r))
+        assert np.allclose(v, q.T, rtol=0, atol=1e-9)
+        # so v[:, F] is the inverse transpose of R: lower triangular, positive diagonal
+        assert np.all(np.diagonal(v[:, redundant]) > 0)
+        assert np.abs(np.triu(v[:, redundant], 1)).max(initial=0.0) <= 1e-12
+        null = np.linalg.svd(a)[2][summary.rank:]
+        assert np.allclose(v.T @ v, null.T @ null, rtol=0, atol=1e-10)
+        assert np.allclose(v @ v.T, np.eye(summary.s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(_sample_frames()))
+    def test_rows_are_self_stresses_to_rounding(self, name):
+        g = _sample_frames()[name]
+        v = analyze_statics(g).null_basis
+        a = equilibrium_matrix(g).matrix
+        assert np.all(np.linalg.norm(a @ v.T, axis=0) <= 1e-12 * np.linalg.norm(v, axis=1))
+
+    def test_basis_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """On a side-5 lattice (s = 171), large enough for OpenBLAS to split
+        its work over two threads, the bases agree to rounding."""
+        import loopstatics
+
+        paths = [
+            str(Path(loopstatics.__file__).resolve().parents[1]),
+            str(Path(__file__).resolve().parent),
+        ]
+        bases = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            out = tmp_path / f"basis_{threads}.npy"
+            subprocess.run([sys.executable, "-c", _BASIS_SCRIPT, str(out)], env=env, check=True)
+            bases.append(np.load(out))
+        g = lattice_graph(np.random.default_rng(22), 5)
+        s = analyze_statics(g).s
+        assert s > 1 and bases[0].shape == bases[1].shape == (s, g.e)
+        assert np.abs(bases[0] - bases[1]).max() <= 1e-9
 
     def test_selfstress_basis_is_the_rows_as_bar_forces(self):
         g = lattice_graph(np.random.default_rng(16), 3)
