@@ -1,9 +1,10 @@
 """Three-prism tensegrity walkthrough.
 
-Sweeps the top-triangle twist to locate the self-stressable geometry from
-the smallest singular value of the equilibrium matrix, then verifies the
-strut/cable sign split, realizes every bar resultant as a perpendicular
-triangle, and checks that the oriented triangle areas close at each node.
+Builds the prism at its closed-form critical twist pi/6, checks from the
+singular values of the equilibrium matrix that it has one self-stress and
+one mechanism there, then verifies the strut/cable sign split, realizes
+every bar resultant as a perpendicular triangle, and checks that the
+oriented triangle areas close at each node.
 """
 
 import argparse

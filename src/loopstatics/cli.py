@@ -96,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     twist.add_argument("--twist", type=float, default=0.0,
                        help="top-triangle twist in radians")
     twist.add_argument("--critical", action="store_true",
-                       help="use the self-stressable twist found by the "
-                            "singular-value search")
+                       help="use the self-stressable twist, pi/6 in closed form")
     gen_prism.add_argument("-o", "--out", default=None)
 
     cycles = sub.add_parser("cycles", help="spanning tree and cycle basis report")

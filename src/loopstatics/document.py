@@ -192,11 +192,13 @@ def load_structure(text: str) -> tuple[StructureDocument, FrameGraph]:
 def document_from_graph(
     graph: FrameGraph, metadata: dict | None = None
 ) -> StructureDocument:
+    """The graph as a structure document, held to the loader's bounds."""
     nodes = []
     for n in graph.node_ids:
         _require_id(n, "node")
-        x, y, z = graph.position(n)
-        nodes.append(NodeRecord(id=n, x=float(x), y=float(y), z=float(z)))
+        x, y, z = (_require_number(float(c), f"node {n!r} {axis}")
+                   for c, axis in zip(graph.position(n), "xyz"))
+        nodes.append(NodeRecord(id=n, x=x, y=y, z=z))
     bars = []
     for e in graph.edge_ids:
         _require_id(e, "bar")

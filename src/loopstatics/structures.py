@@ -3,20 +3,22 @@
 The prism generator places six nodes on a cylinder (bottom triangle at
 angles 0, 120, 240 degrees; top triangle rotated by the twist angle) with
 three bottom cables, three top cables, three near-vertical cables and
-three diagonal struts.  The twist at which the prism becomes
-self-stressable is not hard-coded; it is located numerically from the
-smallest singular value of the equilibrium matrix.
+three diagonal struts.  The prism becomes self-stressable at the
+closed-form critical twist pi/2 - pi/n of an n-prism, pi/6 here (Tibert &
+Pellegrino 2003), whatever its radius and height; the tests check it
+against a numerical search for the dip of the smallest singular value of
+the equilibrium matrix.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from .chains import FrameGraph
 from .errors import StructureError
-from .statics import equilibrium_matrix
 
 
 def k5_frame(
@@ -71,43 +73,15 @@ PRISM_STRUTS = ("strut0", "strut1", "strut2")
 PRISM_CABLES = ("bot0", "bot1", "bot2", "top0", "top1", "top2", "vert0", "vert1", "vert2")
 
 
-def _sigma_min(radius: float, half_height: float, twist: float) -> float:
-    a = equilibrium_matrix(prism_frame(radius, half_height, twist)).matrix
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def prism_critical_twist(
-    radius: float = 1.0,
-    half_height: float = 0.5,
-    scan_points: int = 240,
-    tol: float = 1e-12,
-) -> float:
-    """Twist angle at which the prism gains its axial self-stress.
-
-    Coarse scan of the smallest singular value over (0, 2*pi/3), then
-    golden-section refinement of the dip down to `tol` radians.  (The
-    smallest singular value has no sign change, so interval refinement on
-    the minimum replaces literal bisection.)
+def prism_critical_twist(radius: float = 1.0, half_height: float = 0.5) -> float:
+    """Twist angle at which the prism gains its axial self-stress and its
+    mechanism: pi/2 - pi/3 = pi/6 for any radius and any non-zero
+    half-height.  A flat prism (half-height 0) has three self-stresses at
+    every twist, so it has no critical twist.
     """
-    lo, hi = 1e-3, 2.0 * np.pi / 3.0 - 1e-3
-    twists = np.linspace(lo, hi, scan_points)
-    sigmas = [_sigma_min(radius, half_height, t) for t in twists]
-    k = int(np.argmin(sigmas))
-    a = twists[max(k - 1, 0)]
-    b = twists[min(k + 1, scan_points - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _sigma_min(radius, half_height, c)
-    fd = _sigma_min(radius, half_height, d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _sigma_min(radius, half_height, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _sigma_min(radius, half_height, d)
-    return float(0.5 * (a + b))
+    if radius <= 0:
+        raise StructureError("radius must be positive")
+    if half_height == 0:
+        raise StructureError("half-height must be non-zero: a flat prism has "
+                             "no critical twist")
+    return math.pi / 6

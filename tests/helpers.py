@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from loopstatics import Bivector6, DualChain, FrameGraph, LoopPath, Point4, SelfStressState
+from loopstatics import (
+    Bivector6,
+    DualChain,
+    FrameGraph,
+    LoopPath,
+    Point4,
+    SelfStressState,
+    equilibrium_matrix,
+    prism_frame,
+)
 from loopstatics.selfstress import _axial_verdicts, _bar_array, _bar_frames
 
 
@@ -297,3 +306,46 @@ def ref_equilibrium_matrix(graph: FrameGraph) -> np.ndarray:
         a[rows[head] : rows[head] + 3, col] = u
         a[rows[tail] : rows[tail] + 3, col] = -u
     return a
+
+
+def _ref_sigma_min(radius: float, half_height: float, twist: float) -> float:
+    a = equilibrium_matrix(prism_frame(radius, half_height, twist)).matrix
+    return float(np.linalg.svd(a, compute_uv=False)[-1])
+
+
+def ref_prism_critical_twist(
+    radius: float = 1.0,
+    half_height: float = 0.5,
+    scan_points: int = 240,
+    tol: float = 1e-12,
+) -> float:
+    """The prism's critical twist located numerically, the oracle for the
+    closed form in `structures.prism_critical_twist`.
+
+    Coarse scan of the smallest singular value over (0, 2*pi/3), then
+    golden-section refinement of the dip down to `tol` radians.  (The
+    smallest singular value has no sign change, so interval refinement on
+    the minimum replaces literal bisection.)
+    """
+    lo, hi = 1e-3, 2.0 * np.pi / 3.0 - 1e-3
+    twists = np.linspace(lo, hi, scan_points)
+    sigmas = [_ref_sigma_min(radius, half_height, t) for t in twists]
+    k = int(np.argmin(sigmas))
+    a = twists[max(k - 1, 0)]
+    b = twists[min(k + 1, scan_points - 1)]
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = _ref_sigma_min(radius, half_height, c)
+    fd = _ref_sigma_min(radius, half_height, d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _ref_sigma_min(radius, half_height, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _ref_sigma_min(radius, half_height, d)
+    return float(0.5 * (a + b))

@@ -146,6 +146,27 @@ class TestHugeNumbers:
         assert code == 2 and out == ""
         assert err.startswith("error: node") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "prism", "--radius", "1e70"),
+        ("gen", "prism", "--radius", "1e300", "--critical"),
+        ("gen", "prism", "--half-height=-1e65"),
+        ("gen", "k5", "--center", "1e300", "0", "0"),
+    ])
+    def test_generated_coordinate_beyond_the_bound_exits_2(self, tmp_path, argv):
+        """`gen` writes only documents that the loader accepts."""
+        path = tmp_path / "gen.json"
+        code, out, err = run_strict(*argv, "-o", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: node") and err.count("\n") == 1, err
+        assert "must be finite and at most 1e+64" in err
+        assert not path.exists()
+
+    def test_generated_coordinate_at_the_bound_loads(self, tmp_path):
+        path = tmp_path / "gen.json"
+        assert run_strict("gen", "k5", "--center", MAX_MAGNITUDE, 0, 0, "-o", path)[0] == 0
+        code, out, err = run_strict("cycles", path)
+        assert code == 0, err
+
     def test_diagram_lost_to_rounding_names_its_loop(self, tmp_path):
         """K5 with every coordinate times 1e16: the per-bar triangles, of
         side ~1 around midpoints near 1e16, round onto themselves."""

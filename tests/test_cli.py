@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,10 +40,22 @@ class TestGen:
         assert (g.v, g.e) == (5, 10)
 
     def test_prism_critical(self, capsys):
-        code, out, _ = run(capsys, "gen", "prism", "--critical")
-        assert code == 0
-        doc = parse_structure(out)
-        assert doc.metadata["twist"] == pytest.approx(np.pi / 6, abs=1e-9)
+        for extra in ((), ("--half-height", "-0.5")):
+            code, out, _ = run(capsys, "gen", "prism", "--critical", *extra)
+            assert code == 0
+            doc = parse_structure(out)
+            assert doc.metadata["twist"] == pytest.approx(np.pi / 6, abs=1e-9)
+            assert doc.metadata["twist"] == math.pi / 6
+
+    def test_flat_prism_has_no_critical_twist(self, capsys, tmp_path):
+        """At half-height 0 every twist gives s = m = 3: no critical twist."""
+        path = tmp_path / "flat.json"
+        code, out, err = run(capsys, "gen", "prism", "--critical", "--half-height", "0",
+                             "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "half-height" in err
+        assert not path.exists()
 
 
 class TestCycles:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,12 @@ from loopstatics import (
 )
 from loopstatics.structures import PRISM_CABLES, PRISM_STRUTS
 
-from helpers import lattice_graph, random_connected_graph, ref_equilibrium_matrix
+from helpers import (
+    lattice_graph,
+    random_connected_graph,
+    ref_equilibrium_matrix,
+    ref_prism_critical_twist,
+)
 
 
 def single_bar():
@@ -118,8 +124,28 @@ class TestCounts:
 
 class TestPrism:
     def test_critical_twist_is_thirty_degrees(self):
-        twist = prism_critical_twist()
+        twist = ref_prism_critical_twist()
         assert twist == pytest.approx(np.pi / 6, abs=1e-9)
+        assert prism_critical_twist() == math.pi / 6
+        assert abs(prism_critical_twist() - twist) <= 1e-12
+
+    @pytest.mark.parametrize("half_height", [0.5, 1.5])
+    def test_search_on_a_slender_prism_is_looser(self, half_height):
+        """At radius 1e-9 the twist moves the nodes by ~1e-9 of the frame's
+        size, so the dip of the smallest singular value is that much
+        shallower and the search stops where rounding (~1e-16 of the largest
+        singular value) hides it: ~1e-7 radians, not 1e-12.  The closed
+        form has no such floor."""
+        twist = prism_critical_twist(1e-9, half_height)
+        assert abs(ref_prism_critical_twist(1e-9, half_height) - twist) <= 1e-6
+        assert analyze_statics(prism_frame(1e-9, half_height, twist)).s == 1
+
+    @pytest.mark.parametrize("radius, half_height, match", [
+        (0.0, 0.5, "radius"), (-1.0, 0.5, "radius"), (1.0, 0.0, "half-height"),
+    ])
+    def test_degenerate_prism_has_no_critical_twist(self, radius, half_height, match):
+        with pytest.raises(StructureError, match=match):
+            prism_critical_twist(radius, half_height)
 
     def test_selfstressable_only_at_the_critical_twist(self):
         twist = prism_critical_twist()
@@ -130,10 +156,16 @@ class TestPrism:
         assert analyze_statics(prism_frame(twist=1.0)).s == 0
 
     def test_critical_twist_is_independent_of_aspect_ratio(self):
-        for radius, half_height in [(2.0, 0.8), (0.7, 1.5)]:
-            twist = prism_critical_twist(radius, half_height)
+        shapes = [(2.0, 0.8), (0.7, 1.5), (1.4, 0.3), (0.8, 0.8), (1.0, -0.5)]
+        for radius, half_height in shapes:
+            twist = ref_prism_critical_twist(radius, half_height)
             assert twist == pytest.approx(np.pi / 6, abs=1e-8)
             assert analyze_statics(prism_frame(radius, half_height, twist)).s == 1
+            closed = prism_critical_twist(radius, half_height)
+            assert closed == math.pi / 6
+            assert abs(closed - twist) <= 1e-12
+            summary = analyze_statics(prism_frame(radius, half_height, closed))
+            assert (summary.s, summary.m) == (1, 1)
 
     def test_strut_and_cable_signs_oppose(self):
         g = prism_frame(twist=prism_critical_twist())
