@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -76,8 +77,17 @@ def _add_common(p):
     p.add_argument("-o", "--out", default=None, help="write output to a file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through `add_subparsers` its subparsers, that takes a
+    negative number in any form float() reads, -1e5 say, for a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopstatics",
         description="Loop-based graphic statics for 3D frames.",
     )
@@ -209,10 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StructureError, StateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (StructureError, StateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

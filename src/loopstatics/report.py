@@ -277,18 +277,9 @@ def build_report(
     if with_statics:
         if summary is None:
             summary = analyze_statics(graph, rtol=rtol)
-        statics = {
-            "s": summary.s,
-            "m": summary.m,
-            "rank": summary.rank,
-            "sigma_min": summary.sigma_min,
-        }
-    counts = {
-        "v": graph.v,
-        "e": graph.e,
-        "cycles": len(basis),
-        "selfstress_dimension": selfstress_dimension(graph),
-    }
+        statics = {key: getattr(summary, key) for key in ("s", "m", "rank", "sigma_min")}
+    counts = {"v": graph.v, "e": graph.e, "cycles": len(basis),
+              "selfstress_dimension": selfstress_dimension(graph)}
     bar_table = verdicts = node_table = None
     if state is not None:
         b = _bar_array(state, basis, graph)
@@ -299,10 +290,7 @@ def build_report(
         node_table = _node_array(graph, b)
     return AnalysisReport(
         counts=counts,
-        tree={
-            "root": tree.root,
-            "edges": sorted(tree.edge_ids, key=str),
-        },
+        tree={"root": tree.root, "edges": sorted(tree.edge_ids, key=str)},
         cycles=[_cycle_row(c.generator, _chain_rows(c)) for c in basis],
         statics=statics,
         edge_ids=graph.edge_ids,

@@ -85,9 +85,10 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     The null basis is the force method's: the redundant bars F are the bars
     whose column of the equilibrium matrix depends on the columns before it
     (in bar input order), the reduced form N is the null basis with
-    N[:, F] = I, and the rows are the orthonormal factor of the QR of N^T
-    whose R has a positive diagonal.  The basis is thus a function of the
-    frame alone, up to rounding.
+    N[:, F] = I, and the rows are N^T times the inverse of the positive-
+    diagonal R of its QR, with no Q formed.  N and one correction step take
+    one pseudo-inverse of the other (basic) columns.  The basis is thus a
+    function of the frame alone, up to rounding.
     """
     a = equilibrium_matrix(graph).matrix
     if a.size > _EXACT_SVD_SIZE:
@@ -124,8 +125,9 @@ _BLOCK = 64
 
 def _force_method_basis(a: np.ndarray, cut: float, s: int) -> np.ndarray:
     """The s x e orthonormalized reduced form of a's null space; `cut` is
-    the rank cut that a column's scaled residual must exceed."""
-    qt, rinv, redundant = _redundant_bars(a, cut)
+    the rank cut that a column's scaled residual must exceed.  N^T is I on
+    the redundant rows F and -solve @ a[:, F] on the basic rows."""
+    solve, redundant = _redundant_bars(a, cut)
     if redundant.size != s:
         raise StructureError(
             f"rank cut is ambiguous at this tolerance: the singular values give "
@@ -133,22 +135,24 @@ def _force_method_basis(a: np.ndarray, cut: float, s: int) -> np.ndarray:
         )
     basic = np.ones(a.shape[1], dtype=bool)
     basic[redundant] = False
-    n = np.zeros((a.shape[1], s))  # N^T
-    n[redundant, np.arange(s)] = 1.0
-    n[basic] = -(rinv @ (qt @ a[:, redundant]))
-    v = _positive_qr(n)
-    del n
+    v = np.zeros((a.shape[1], s))  # N^T
+    v[redundant, np.arange(s)] = 1.0
+    v[basic] = -(solve @ a[:, redundant])
+    v = _orthonormal(v)
     # one correction step: re-solve the basic part against the residual
-    v[basic] -= rinv @ (qt @ (a @ v))
-    return _positive_qr(v).T
+    step = solve @ (a @ v)
+    del solve  # before the second QR
+    v[basic] -= step
+    return _orthonormal(v).T
 
 
 def _redundant_bars(a: np.ndarray, cut: float) -> tuple:
     """Blocked Gram-Schmidt over a's columns in order.
 
-    Returns qt, orthonormal rows spanning the independent (basic) columns,
-    the inverse of their triangular factor (a[:, basic] = qt.T @ r), and
-    the sorted indices of the redundant columns.  A column is redundant
+    Returns the pseudo-inverse of the independent (basic) columns, rinv @ qt,
+    and the sorted indices of the redundant columns.  qt holds orthonormal
+    rows spanning the basic columns and rinv is the inverse of their
+    triangular factor (a[:, basic] = qt.T @ r).  A column is redundant
     when its residual against the earlier basic columns, over the norm of
     (its coefficients on them, -1), is at most `cut`: that is the norm of
     a unit combination of the columns up to it, and unlike the bare
@@ -181,14 +185,14 @@ def _redundant_bars(a: np.ndarray, cut: float) -> tuple:
             continue
         x = x[:, basic]
         v = x @ np.linalg.inv(np.linalg.qr(z[:, basic], mode="r"))  # orthonormal to rounding
-        y = _positive_qr(v - q.T @ (q @ v))
+        y = _orthonormal(v - q.T @ (q @ v))
         d_inv = np.linalg.inv(y.T @ x)
         p = basic.size
         qt[rank:rank + p] = y.T
         rinv[:rank, rank:rank + p] = -coef[:, basic] @ d_inv
         rinv[rank:rank + p, rank:rank + p] = d_inv
         rank += p
-    return qt[:rank], rinv[:rank, :rank], np.array(sorted(redundant), dtype=int)
+    return rinv[:rank, :rank] @ qt[:rank], np.array(sorted(redundant), dtype=int)
 
 
 def _select_in_order(z: np.ndarray, coef: np.ndarray, cut: float) -> tuple:
@@ -228,11 +232,12 @@ def _column_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x, x)
 
 
-def _positive_qr(x: np.ndarray) -> np.ndarray:
-    """Q of the QR factorization x = QR whose R has a positive diagonal."""
-    q, r = np.linalg.qr(x)
-    q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
-    return q
+def _orthonormal(x: np.ndarray) -> np.ndarray:
+    """Q of x = QR with R's diagonal positive, as x times the inverse of R
+    (flipping a row of R flips that column of its inverse); no Q is formed."""
+    r_inv = np.linalg.inv(np.linalg.qr(x, mode="r"))
+    r_inv *= np.where(np.diagonal(r_inv) < 0, -1.0, 1.0)
+    return x @ r_inv
 
 
 def axial_selfstress_basis(graph: FrameGraph, rtol: float = 1e-9) -> list[AxialForceVector]:

@@ -15,6 +15,7 @@ from loopstatics import (
     prism_frame,
 )
 from loopstatics.selfstress import _axial_verdicts, _bar_array, _bar_frames
+from loopstatics.statics import _BLOCK, _column_sq, _select_in_order
 
 
 def int_k5() -> FrameGraph:
@@ -306,6 +307,65 @@ def ref_equilibrium_matrix(graph: FrameGraph) -> np.ndarray:
         a[rows[head] : rows[head] + 3, col] = u
         a[rows[tail] : rows[tail] + 3, col] = -u
     return a
+
+
+def ref_positive_qr(x: np.ndarray) -> np.ndarray:
+    """The Householder Q of x = QR, its columns signed so R's diagonal is
+    positive."""
+    q, r = np.linalg.qr(x)
+    q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    return q
+
+
+def ref_force_method_basis(a: np.ndarray, cut: float, s: int) -> np.ndarray:
+    """The force-method null basis by the route that keeps both factors of
+    the basic columns and forms each Householder Q: the oracle for
+    `statics._force_method_basis`, which must match it to rounding."""
+    qt, rinv, redundant = _ref_redundant_bars(a, cut)
+    assert redundant.size == s
+    basic = np.ones(a.shape[1], dtype=bool)
+    basic[redundant] = False
+    n = np.zeros((a.shape[1], s))  # N^T
+    n[redundant, np.arange(s)] = 1.0
+    n[basic] = -(rinv @ (qt @ a[:, redundant]))
+    v = ref_positive_qr(n)
+    v[basic] -= rinv @ (qt @ (a @ v))
+    return ref_positive_qr(v).T
+
+
+def _ref_redundant_bars(a: np.ndarray, cut: float) -> tuple:
+    """qt, rinv and the redundant columns of `statics._redundant_bars`,
+    with each block's directions orthonormalized by `ref_positive_qr`."""
+    rows, e = a.shape
+    size = min(rows, e)
+    qt, rinv = np.empty((size, rows)), np.zeros((size, size))
+    rank, redundant = 0, []
+    for start in range(0, e, _BLOCK):
+        cols = np.arange(start, min(start + _BLOCK, e))
+        q = qt[:rank]
+        block = a[:, cols]
+        used = np.flatnonzero(block.any(axis=1))
+        c = q[:, used] @ block[used]
+        x = block - q.T @ c
+        keep = _column_sq(x) > cut * cut
+        redundant += cols[~keep].tolist()
+        cols, x = cols[keep], x[:, keep]
+        coef = rinv[:rank, :rank] @ c[:, keep]
+        z = np.linalg.qr(x, mode="r")
+        basic, dropped = _select_in_order(z, coef, cut)
+        redundant += cols[dropped].tolist()
+        if not basic.size:
+            continue
+        x = x[:, basic]
+        v = x @ np.linalg.inv(np.linalg.qr(z[:, basic], mode="r"))
+        y = ref_positive_qr(v - q.T @ (q @ v))
+        d_inv = np.linalg.inv(y.T @ x)
+        p = basic.size
+        qt[rank:rank + p] = y.T
+        rinv[:rank, rank:rank + p] = -coef[:, basic] @ d_inv
+        rinv[rank:rank + p, rank:rank + p] = d_inv
+        rank += p
+    return qt[:rank], rinv[:rank, :rank], np.array(sorted(redundant), dtype=int)
 
 
 def _ref_sigma_min(radius: float, half_height: float, twist: float) -> float:

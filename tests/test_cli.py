@@ -47,6 +47,26 @@ class TestGen:
             assert doc.metadata["twist"] == pytest.approx(np.pi / 6, abs=1e-9)
             assert doc.metadata["twist"] == math.pi / 6
 
+    @pytest.mark.parametrize("text", ["-1e5", "-1E+5", "-1.e5", "-.1e6", "-100000"])
+    def test_negative_center_in_exponent_form(self, capsys, text):
+        """A negative number is a value, not an option flag, in every form
+        that float() reads, exponent form included."""
+        code, out, err = run(capsys, "gen", "k5", "--center", text, "0", "0")
+        assert (code, err) == (0, ""), err
+        center = parse_structure(out).nodes[0]
+        assert (center.id, center.x, center.y) == ("c", -1e5, 0.0)
+
+    @pytest.mark.parametrize("flag", ["--twist", "--half-height"])
+    def test_negative_prism_value_in_exponent_form(self, capsys, flag):
+        code, out, err = run(capsys, "gen", "prism", flag, "-1.5e-1")
+        assert (code, err) == (0, ""), err
+        key = flag[2:].replace("-", "_")
+        assert parse_structure(out).metadata[key] == -0.15
+
+    def test_negative_radius_in_exponent_form_reaches_the_range_check(self, capsys):
+        code, out, err = run(capsys, "gen", "prism", "--radius", "-1.5e-1")
+        assert (code, out, err) == (2, "", "error: radius must be positive\n")
+
     def test_flat_prism_has_no_critical_twist(self, capsys, tmp_path):
         """At half-height 0 every twist gives s = m = 3: no critical twist."""
         path = tmp_path / "flat.json"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from helpers import (
     lattice_graph,
     random_connected_graph,
     ref_equilibrium_matrix,
+    ref_force_method_basis,
     ref_prism_critical_twist,
 )
 
@@ -306,6 +308,30 @@ class TestNullBasis:
         s = analyze_statics(g).s
         assert s > 1 and bases[0].shape == bases[1].shape == (s, g.e)
         assert np.abs(bases[0] - bases[1]).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", [*_sample_frames(), "side-5 lattice"])
+    def test_basis_is_the_householder_route_to_rounding(self, name):
+        """The basis matches the route that keeps qt and rinv apart and forms
+        each Householder Q."""
+        g = _sample_frames().get(name) or lattice_graph(np.random.default_rng(22), 5)
+        summary = analyze_statics(g)
+        a = equilibrium_matrix(g).matrix
+        cut = max(1e-9, max(a.shape) * np.finfo(float).eps) * summary.singular_values[0]
+        ref = ref_force_method_basis(a, cut, summary.s)
+        assert summary.s > 0 and np.abs(summary.null_basis - ref).max() <= 1e-10
+
+    def test_statics_peak_memory_is_at_most_three_and_a_half_matrices(self):
+        """On the side-5 lattice, analyze_statics holds at most 3.5 times the
+        equilibrium matrix's bytes at once (numpy's arrays, as traced)."""
+        g = lattice_graph(np.random.default_rng(22), 5)
+        nbytes = equilibrium_matrix(g).matrix.nbytes
+        tracemalloc.start()
+        try:
+            analyze_statics(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * nbytes, peak / nbytes
 
     def test_selfstress_basis_is_the_rows_as_bar_forces(self):
         g = lattice_graph(np.random.default_rng(16), 3)
