@@ -141,7 +141,7 @@ def _force_method_basis(a: np.ndarray, cut: float, s: int) -> np.ndarray:
     v = _orthonormal(v)
     # one correction step: re-solve the basic part against the residual
     step = solve @ (a @ v)
-    del solve  # before the second QR
+    del solve  # frees its memory before the second QR
     v[basic] -= step
     return _orthonormal(v).T
 
