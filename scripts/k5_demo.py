@@ -13,7 +13,6 @@ from loopstatics import (
     analyze_statics,
     axial_to_state,
     check_axial,
-    cycle_membership,
     export_diagrams,
     fundamental_cycles,
     k5_frame,
@@ -46,7 +45,8 @@ def main():
     print("\nbar   loops (signed)              oracle q     loop-sum q")
     for e in g.edge_ids:
         members = " ".join(
-            f"{c:+d}{cid}" for cid, c in cycle_membership(e, basis, g)
+            f"{c.chain.coefficient(e):+d}{c.generator}"
+            for c in basis if c.chain.coefficient(e)
         )
         recovered = resultants[e].force @ g.direction(e)
         print(f"{e:5} {members:28} {q[e]:+.6f}  {recovered:+.6f}")
@@ -59,8 +59,8 @@ def main():
     print("all bars axial:", all(c.is_axial for c in axial.values()))
 
     if args.export_dir:
-        loops = realize_state(g, basis, state, per="cycle", share_vertex=True)
-        paths = export_diagrams(g, loops.loops, args.export_dir)
+        realized = realize_state(g, basis, state, per="cycle", share_vertex=True)
+        paths = export_diagrams(g, realized, args.export_dir)
         print("wrote:", ", ".join(str(p) for p in paths))
 
 

@@ -12,7 +12,8 @@ import argparse
 import numpy as np
 
 from loopstatics import (
-    all_bar_resultants,
+    LoopPath,
+    Point4,
     analyze_statics,
     axial_to_state,
     export_diagrams,
@@ -23,9 +24,7 @@ from loopstatics import (
     prism_frame,
     realize_state,
     selfstress_dimension,
-    triangle_for_axial,
 )
-from loopstatics.selfstress import incidence_sign
 from loopstatics.structures import PRISM_CABLES, PRISM_STRUTS
 
 
@@ -54,24 +53,20 @@ def main():
     assert {np.sign(q[e]) for e in PRISM_STRUTS} != {np.sign(q[e]) for e in PRISM_CABLES}
 
     state = axial_to_state(g, basis, q)
-    resultants = all_bar_resultants(state, basis, g)
-    triangles = {}
-    for e in g.edge_ids:
-        tail, head = g.ends(e)
-        triangles[e] = triangle_for_axial(
-            g.position(tail), g.position(head),
-            resultants[e].force, resultants[e].total_moment,
-        )
+    realized = realize_state(g, basis, state, per="bar")
+    assert not realized.fallbacks, "every bar resultant is axial"
+    triangles = {name: LoopPath(tuple(Point4(*v) for v in loops[0]))
+                 for name, _, loops in realized.items}
     print("\noriented-area closure of the bar triangles at each node:")
     for n in g.node_ids:
         closure = np.zeros(3)
         for e in g.incident_edges(n):
-            closure += incidence_sign(g, e, n) * force_of(loop_area(triangles[e]))
+            sign = 1 if g.ends(e)[1] == n else -1  # +1 for a bar directed into n
+            closure += sign * force_of(loop_area(triangles[f"bar_{e}"]))
         print(f"  node {n}: |sum| = {np.linalg.norm(closure):.3e}")
 
     if args.export_dir:
-        loops = realize_state(g, basis, state, per="bar")
-        paths = export_diagrams(g, loops.loops, args.export_dir)
+        paths = export_diagrams(g, realized, args.export_dir)
         print("wrote:", ", ".join(str(p) for p in paths))
 
 

@@ -14,14 +14,11 @@ from .chains import (
     FrameGraph,
     NodeId,
     boundary,
-    chain_add,
-    chain_scale,
     is_cycle,
 )
 from .cycles import (
     FundamentalCycle,
     SpanningTree,
-    cycle_membership,
     fundamental_cycles,
     spanning_tree,
 )
@@ -31,8 +28,6 @@ from .document import (
     NodeRecord,
     StructureDocument,
     document_from_graph,
-    generate_k5,
-    generate_prism,
     load_structure,
     parse_state,
     parse_structure,
@@ -47,11 +42,7 @@ from .selfstress import (
     BarResultant,
     SelfStressState,
     all_bar_resultants,
-    bar_resultant,
     check_axial,
-    incidence_sign,
-    node_residual,
-    residual_at_node,
     selfstress_dimension,
 )
 from .statics import (
@@ -71,7 +62,7 @@ from .structures import (
     prism_critical_twist,
     prism_frame,
 )
-from .synthesis import merge_chain, synthesize_chain, triangle_for_axial, zero_bar_loop
+from .synthesis import zero_bar_loop
 from .wedge import (
     ZERO_BIVECTOR,
     Bivector6,

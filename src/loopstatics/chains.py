@@ -236,18 +236,6 @@ class Chain1(_FormalSum):
     """Integer formal sum of directed bars."""
 
 
-def chain_add(a: _FormalSum, b: _FormalSum):
-    """Coefficient-wise sum of two chains of the same degree."""
-    if type(a) is not type(b):
-        raise StructureError("cannot add chains of different degree")
-    return a + b
-
-
-def chain_scale(k: int, a: _FormalSum):
-    """Integer multiple of a chain; 0 gives the zero chain."""
-    return int(k) * a
-
-
 def boundary(chain: Chain1, graph: FrameGraph) -> Chain0:
     """Boundary of a bar chain: each bar contributes head minus tail.
 

@@ -17,17 +17,11 @@ from pathlib import Path
 
 from .cycles import fundamental_cycles, spanning_tree
 from .diagrams import export_diagrams, realize_state
-from .document import (
-    generate_k5,
-    generate_prism,
-    load_structure,
-    parse_state,
-    serialize_structure,
-)
+from .document import document_from_graph, load_structure, parse_state, serialize_structure
 from .errors import StateError, StructureError
 from .report import build_report
 from .statics import analyze_statics, axial_to_state
-from .structures import prism_critical_twist
+from .structures import k5_frame, prism_critical_twist, prism_frame
 
 
 def _parse_node_id(text: str):
@@ -67,12 +61,22 @@ def _report_text(report, fmt: str):
     return report.to_text() if fmt == "text" else report.json_pieces()
 
 
+def _tolerance(text: str) -> float:
+    """A relative tolerance: a number with 0 <= tol < 1, so not NaN or inf."""
+    try:
+        if 0.0 <= float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a number with 0 <= tol < 1, got {text!r}")
+
+
 def _add_common(p):
     p.add_argument("structure", help="structure document path ('-' for stdin)")
     p.add_argument("--tree-root", type=_parse_node_id, default=None,
                    help="override the spanning-tree root node")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="relative tolerance for rank and axial checks")
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
+                   help="relative tolerance for rank and axial checks, 0 <= tol < 1")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("-o", "--out", default=None, help="write output to a file")
 
@@ -139,11 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     if args.example == "k5":
-        doc = generate_k5(center=tuple(args.center))
+        doc = document_from_graph(k5_frame(center=tuple(args.center)), {"example": "k5"})
     else:
         twist = prism_critical_twist(args.radius, args.half_height) \
             if args.critical else args.twist
-        doc = generate_prism(args.radius, args.half_height, twist)
+        doc = document_from_graph(
+            prism_frame(args.radius, args.half_height, twist),
+            {"example": "three-prism", "radius": float(args.radius),
+             "half_height": float(args.half_height), "twist": float(twist)},
+        )
     _emit(serialize_structure(doc), args.out)
     return 0
 

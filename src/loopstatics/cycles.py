@@ -136,24 +136,6 @@ def fundamental_cycles(
     return basis
 
 
-def cycle_membership(
-    bar: EdgeId, basis: list[FundamentalCycle], graph: FrameGraph
-) -> list[tuple[EdgeId, int]]:
-    """Basis cycles whose chain touches `bar`, with the signed coefficient.
-
-    A non-tree bar belongs only to its own cycle, with coefficient +1.
-    Returned in basis order; unknown bars are an error.
-    """
-    if not graph.has_edge(bar):
-        raise StructureError(f"unknown bar {bar!r}")
-    hits = []
-    for cycle in basis:
-        coeff = cycle.chain.coefficient(bar)
-        if coeff != 0:
-            hits.append((cycle.generator, coeff))
-    return hits
-
-
 def assert_valid_basis(graph: FrameGraph, basis: list[FundamentalCycle]) -> None:
     """Sanity checks: count, zero boundary, one non-tree generator each."""
     expected = graph.e - graph.v + 1

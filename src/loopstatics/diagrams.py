@@ -20,7 +20,6 @@ from .cycles import FundamentalCycle
 from .errors import StructureError
 from .selfstress import SelfStressState, _axial_verdicts, _bar_array, _bar_frames
 from .synthesis import _merge_rows, _rectangles, _triangles
-from .wedge import DualChain, LoopPath
 
 
 @dataclass(frozen=True)
@@ -37,15 +36,6 @@ class RealizedDiagram:
 
     items: tuple
     forceless: tuple = ()
-
-    @property
-    def loops(self) -> tuple:
-        """(name, LoopPath | DualChain) pairs, built when read."""
-        return tuple(
-            (name, DualChain(tuple((1, LoopPath.from_array(v)) for v in loops))
-             if chain else LoopPath.from_array(loops[0]))
-            for name, chain, loops in self.items
-        )
 
     @property
     def fallbacks(self) -> tuple:
@@ -203,46 +193,27 @@ def form_diagram_text(graph: FrameGraph) -> str:
     return _mesh_text([("form", rows, polylines)])
 
 
-def force_diagram_text(loops) -> str:
-    """Dual loops as named closed polylines, from a RealizedDiagram or from
-    (name, LoopPath | DualChain) pairs as in its `loops`.  Each chain term
-    becomes its own object (reversed when its coefficient is negative)."""
-    items = loops.items if isinstance(loops, RealizedDiagram) else _items_of(loops)
+def force_diagram_text(realized: RealizedDiagram) -> str:
+    """Dual loops as named closed polylines; each loop of a chain item
+    becomes its own object."""
     return _mesh_text(
         (f"{name}_part{k}" if chain else name, rows, None)
-        for name, chain, item_loops in items
+        for name, chain, item_loops in realized.items
         for k, rows in enumerate(item_loops)
     )
 
 
-def _items_of(pairs) -> list:
-    """RealizedDiagram items for (name, LoopPath | DualChain) pairs."""
-    def rows(loop: LoopPath) -> list:
-        return list(map(tuple, loop.vertex_array().tolist()))
-
-    items = []
-    for name, realized in pairs:
-        if isinstance(realized, LoopPath):
-            items.append((name, False, [rows(realized)]))
-            continue
-        loops = []
-        for coeff, loop in realized.terms:
-            loops += [rows(loop if coeff > 0 else loop.reversed())] * abs(coeff)
-        items.append((name, True, loops))
-    return items
-
-
 def export_diagrams(
     graph: FrameGraph,
-    loops=None,
+    realized: RealizedDiagram | None = None,
     directory: str | Path = ".",
     form_name: str = "form.obj",
     force_name: str = "force.obj",
 ) -> list[Path]:
     """Write the form diagram, and the force diagram when there are loops.
 
-    Returns the written paths.  `loops` is what realize_state returns, or
-    its `loops` pairs; pass None or empty for form only.
+    Returns the written paths.  `realized` is what realize_state returns;
+    pass None or an empty one for form only.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -250,8 +221,8 @@ def export_diagrams(
     form_path = directory / form_name
     form_path.write_text(form_diagram_text(graph))
     paths.append(form_path)
-    if loops:
+    if realized:
         force_path = directory / force_name
-        force_path.write_text(force_diagram_text(loops))
+        force_path.write_text(force_diagram_text(realized))
         paths.append(force_path)
     return paths

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .chains import FrameGraph
 from .errors import StateError, StructureError
 from .selfstress import SelfStressState
-from .structures import k5_frame, prism_frame
 from .wedge import Bivector6
 
 STRUCTURE_FORMAT = "frame-structure/1"
@@ -206,28 +205,6 @@ def document_from_graph(
         bars.append(BarRecord(id=e, tail=tail, head=head))
     return StructureDocument(
         nodes=tuple(nodes), bars=tuple(bars), metadata=dict(metadata or {})
-    )
-
-
-def generate_k5(outer=None, center=(0.0, 0.0, 0.0)) -> StructureDocument:
-    """Complete five-node frame: outer tetrahedron corners plus a hub."""
-    graph = k5_frame(outer=outer, center=center)
-    return document_from_graph(graph, metadata={"example": "k5"})
-
-
-def generate_prism(
-    radius: float = 1.0, half_height: float = 0.5, twist: float = 0.0
-) -> StructureDocument:
-    """Three-prism tensegrity on a cylinder at the given twist angle."""
-    graph = prism_frame(radius=radius, half_height=half_height, twist=twist)
-    return document_from_graph(
-        graph,
-        metadata={
-            "example": "three-prism",
-            "radius": float(radius),
-            "half_height": float(half_height),
-            "twist": float(twist),
-        },
     )
 
 

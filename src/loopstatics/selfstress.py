@@ -22,8 +22,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .chains import EdgeId, FrameGraph, NodeId
-from .cycles import FundamentalCycle, cycle_membership
+from .chains import EdgeId, FrameGraph
+from .cycles import FundamentalCycle
 from .errors import StateError, StructureError
 from .wedge import ZERO_BIVECTOR, Bivector6, force_of, moment_of
 
@@ -82,20 +82,6 @@ class BarResultant:
     @classmethod
     def of(cls, bar: EdgeId, b: Bivector6) -> "BarResultant":
         return cls(bar=bar, bivector=b, force=force_of(b), total_moment=moment_of(b))
-
-
-def bar_resultant(
-    state: SelfStressState,
-    bar: EdgeId,
-    basis: list[FundamentalCycle],
-    graph: FrameGraph,
-) -> BarResultant:
-    """Signed sum of the resultants of every basis loop containing the bar
-    (the per-bar definition; `_bar_array` sums all bars at once, bit for bit)."""
-    total = ZERO_BIVECTOR
-    for cycle_id, coeff in cycle_membership(bar, basis, graph):
-        total = total + coeff * state.resultant(cycle_id)
-    return BarResultant.of(bar, total)
 
 
 # -- array core: bars, nodes and loops numbered in graph and basis order --
@@ -173,42 +159,6 @@ def all_bar_resultants(
 ) -> dict:
     rows = zip(graph.edge_ids, _bar_array(state, basis, graph))
     return {bar: BarResultant.of(bar, Bivector6(*row)) for bar, row in rows}
-
-
-def incidence_sign(graph: FrameGraph, bar: EdgeId, node: NodeId) -> int:
-    """+1 if the bar is directed into the node, -1 if out of it."""
-    tail, head = graph.ends(bar)
-    if node == head:
-        return 1
-    if node == tail:
-        return -1
-    raise StructureError(f"bar {bar!r} is not incident to node {node!r}")
-
-
-def residual_at_node(
-    resultants: Mapping, node: NodeId, graph: FrameGraph
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed force and moment sums at a node for given per-bar resultants.
-
-    Both vanish for any resultant map produced by chain summation; the
-    entry point exists so tests can feed deliberately corrupted maps.
-    """
-    col = {bar: i for i, bar in enumerate(graph.edge_ids)}
-    b = np.zeros((graph.e, 6))
-    for bar in graph.incident_edges(node):
-        b[col[bar]] = np.r_[resultants[bar].force, resultants[bar].total_moment]
-    row = _node_array(graph, b)[graph.node_ids.index(node)]
-    return row[:3], row[3:]
-
-
-def node_residual(
-    state: SelfStressState,
-    node: NodeId,
-    graph: FrameGraph,
-    basis: list[FundamentalCycle],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equilibrium residual at one node; zero (to rounding) for every state."""
-    return residual_at_node(all_bar_resultants(state, basis, graph), node, graph)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructureError
-from .selfstress import _axial_verdicts
-from .wedge import Bivector6, DualChain, LoopPath, Point4
+from .wedge import LoopPath, Point4
 
 _ORIGIN4 = Point4(0.0, 0.0, 0.0, 0.0)
 
@@ -39,16 +38,6 @@ def _rectangles(anchors: np.ndarray, areas: np.ndarray) -> np.ndarray:
     return np.stack(np.broadcast_arrays(base, side, side + _SIDE_B, base + _SIDE_B), axis=2)
 
 
-def synthesize_chain(target: Bivector6, anchor: Point4 = _ORIGIN4) -> DualChain:
-    """Formal sum of at most six axis-aligned rectangles whose areas add to
-    the target, one rectangle per nonzero component; exact up to rounding."""
-    areas = target.components()
-    corners = _rectangles(anchor.to_array()[None], areas[None])[0]
-    return DualChain(tuple(
-        (1, LoopPath.from_array(c)) for c, area in zip(corners, areas) if area != 0.0
-    ))
-
-
 def _in_plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right-handed in-plane frames (t1, t2, normal) for k x 3 unit normals;
     t1 follows the smallest-index coordinate axis that projects
@@ -67,47 +56,11 @@ def _in_plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, np.cross(normals, t1)
 
 
-def triangle_for_axial(
-    tail: np.ndarray,
-    head: np.ndarray,
-    force: np.ndarray,
-    moment: np.ndarray,
-    tol: float = 1e-9,
-) -> LoopPath | DualChain:
-    """Flat triangle realizing an axial bar resultant.
-
-    The triangle is equilateral, centred on the bar midpoint, normal to the
-    bar, with spatial area |force| and right-hand orientation around the
-    force; its vertex h-coordinates solve the 3x3 moment system.  Inputs
-    must be axial-consistent: force parallel to the bar and moment equal to
-    midpoint x force, both within tol (the bar judged on its own, see
-    `_axial_verdicts`).  A zero force falls back to synthesize_chain (a
-    DualChain), since no triangle can carry it.
-    """
-    p0, p1, f, m = (np.asarray(a, dtype=float) for a in (tail, head, force, moment))
-    d = p1 - p0
-    length = float(np.linalg.norm(d))
-    if length == 0.0:
-        raise StructureError("bar has coincident endpoints")
-    mid = 0.5 * (p0 + p1)
-    if np.any(f):
-        u = d / length
-        parallel, matches, _ = _axial_verdicts(f[None], m[None], u[None], mid[None], tol)
-        if not parallel[0]:
-            raise StructureError("force is not parallel to the bar")
-        if not matches[0]:
-            raise StructureError("moment is inconsistent with an axial force")
-    f_norm = float(np.linalg.norm(f))
-    if f_norm == 0.0:
-        return synthesize_chain(Bivector6.from_force_moment(f, m))
-    return LoopPath.from_array(_triangles(mid[None], f[None], m[None], np.array([f_norm]))[0])
-
-
 def _triangles(mids, forces, moments, f_norms) -> np.ndarray:
-    """Vertex rows (k, 3, 4) of triangle_for_axial's triangles, unchecked, for
-    k bars with midpoints, forces, moments and nonzero force norms.  The
-    norms are each force's scalar BLAS norm, passed in so that callers test
-    the same number for zero."""
+    """Vertex rows (k, 3, 4) of the triangles of k axial bars, unchecked:
+    equilateral, centred on the midpoint, right-handed about the force.
+    The nonzero force norms are each force's scalar BLAS norm, passed in
+    so that callers test the same number for zero."""
     t1, t2 = _in_plane_frames(forces / f_norms[:, None])
     # equilateral triangle: area = (3*sqrt(3)/4) * R^2 with circumradius R
     radius = np.sqrt(4.0 * f_norms / (3.0 * np.sqrt(3.0)))[:, None]
@@ -140,23 +93,9 @@ def zero_bar_loop(normal, anchor: Point4 = _ORIGIN4, size: float = 1.0) -> LoopP
     return LoopPath(tuple(verts))
 
 
-def merge_chain(chain: DualChain) -> DualChain:
-    """Splice loops that share a vertex into connected loops.
-
-    Negative coefficients are folded in by reversing orientation and
-    repeated loops are duplicated, so the merged chain has the same area.
-    Mainly cosmetic: exports read better as one polyline than as a formal
-    sum of rectangles.
-    """
-    loops = []
-    for coeff, loop in chain.terms:
-        rows = (loop if coeff > 0 else loop.reversed()).vertex_array().tolist()
-        loops += [list(map(tuple, rows))] * abs(coeff)
-    return DualChain(tuple((1, LoopPath.from_array(v)) for v in _merge_rows(loops)))
-
-
 def _merge_rows(loops: list) -> list:
-    """merge_chain on loops given as lists of (x, y, z, h) tuples, all with
+    """Splice loops that share a vertex into connected loops of the same
+    summed area, for loops given as lists of (x, y, z, h) tuples, all with
     coefficient +1; tuples compare and hash as Point4 does."""
     pending = list(loops)
     merged = []

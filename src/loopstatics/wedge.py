@@ -71,11 +71,6 @@ class LoopPath:
     def vertex_array(self) -> np.ndarray:
         return np.array([v.to_array() for v in self.vertices])
 
-    @classmethod
-    def from_array(cls, rows) -> "LoopPath":
-        """Loop through (x, y, z, h) vertex rows."""
-        return cls(tuple(Point4(*v) for v in np.asarray(rows, dtype=float).tolist()))
-
     def reversed(self) -> "LoopPath":
         return LoopPath(tuple(self.vertices[::-1]))
 

@@ -5,16 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 from loopstatics import (
+    ZERO_BIVECTOR,
+    BarResultant,
     Bivector6,
     DualChain,
     FrameGraph,
     LoopPath,
     Point4,
     SelfStressState,
+    chain_area,
     equilibrium_matrix,
     prism_frame,
 )
 from loopstatics.selfstress import _axial_verdicts, _bar_array, _bar_frames
+from loopstatics.synthesis import _rectangles
 from loopstatics.statics import _BLOCK, _column_sq, _select_in_order
 
 
@@ -117,6 +121,25 @@ def random_planar_loop(rng: np.random.Generator) -> LoopPath:
     pts = [center + r * (np.cos(a) * t1 + np.sin(a) * t2) for a, r in zip(angles, radii)]
     loop = LoopPath(tuple(Point4(*p) for p in pts))
     return loop
+
+
+def loop_of(rows) -> LoopPath:
+    """The loop through (x, y, z, h) vertex rows, such as a loop of a
+    RealizedDiagram item."""
+    return LoopPath(tuple(Point4(*v) for v in rows))
+
+
+def item_area(loops) -> Bivector6:
+    """The summed area of a RealizedDiagram item's loops."""
+    return chain_area(DualChain(tuple((1, loop_of(rows)) for rows in loops)))
+
+
+def rectangle_chain(target: Bivector6, anchor=(0.0, 0.0, 0.0, 0.0)) -> DualChain:
+    """The chain of `synthesis._rectangles` for a target: one rectangle per
+    nonzero component, a corner at the anchor."""
+    areas = target.components()
+    corners = _rectangles(np.array([anchor], dtype=float), areas[None])[0]
+    return DualChain(tuple((1, loop_of(c)) for c, area in zip(corners, areas) if area != 0.0))
 
 
 # -- reference realization: the object-based, one-loop-at-a-time code that
@@ -287,6 +310,19 @@ def ref_force_diagram_text(loops) -> str:
 
 # -- reference statics: the per-bar code that the array path in selfstress
 # and statics must reproduce bit for bit --
+
+
+def ref_bar_resultant(state: SelfStressState, bar, basis, graph: FrameGraph) -> BarResultant:
+    """Signed sum of the resultants of every basis loop containing the bar,
+    in basis order: the per-bar definition that `_bar_array` sums for all
+    bars at once."""
+    assert graph.has_edge(bar)
+    total = ZERO_BIVECTOR
+    for cycle in basis:
+        coeff = cycle.chain.coefficient(bar)
+        if coeff != 0:
+            total = total + coeff * state.resultant(cycle.generator)
+    return BarResultant.of(bar, total)
 
 
 def ref_bar_frames(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,6 @@ from loopstatics import (
     analyze_statics,
     axial_to_state,
     boundary,
-    chain_add,
     chain_area,
     check_axial,
     force_of,
@@ -25,21 +24,21 @@ from loopstatics import (
     loop_area,
     prism_critical_twist,
     prism_frame,
-    residual_at_node,
+    realize_state,
     selfstress_dimension,
-    synthesize_chain,
-    triangle_for_axial,
     zero_bar_loop,
 )
 from loopstatics.chains import Chain0
-from loopstatics.selfstress import incidence_sign
+from loopstatics.selfstress import _bar_array, _node_array
 from loopstatics.wedge import Point4
 
 from helpers import (
+    item_area,
     random_connected_graph,
     random_loop,
     random_planar_loop,
     random_state,
+    rectangle_chain,
 )
 
 
@@ -118,18 +117,15 @@ def test_criterion_3_prism_tensegrity():
         failures.append("null vector is not 3 bars of one sign vs 9 of the other")
     state = axial_to_state(g, basis, q)
     resultants = all_bar_resultants(state, basis, g)
-    triangles = {}
-    for e in g.edge_ids:
-        tail, head = g.ends(e)
-        triangles[e] = triangle_for_axial(
-            g.position(tail), g.position(head),
-            resultants[e].force, resultants[e].total_moment,
-        )
+    items = {name: (chain, loops) for name, chain, loops in realize_state(g, basis, state).items}
+    if any(chain for chain, _ in items.values()) or len(items) != g.e:
+        failures.append("export --axial does not draw one triangle per bar")
     scale = max(np.linalg.norm(resultants[e].force) for e in g.edge_ids)
     for node in g.node_ids:
         closure = np.zeros(3)
         for e in g.incident_edges(node):
-            closure += incidence_sign(g, e, node) * force_of(loop_area(triangles[e]))
+            sign = 1 if g.ends(e)[1] == node else -1  # +1 into the node
+            closure += sign * force_of(item_area(items[f"bar_{e}"][1]))
         rel = np.linalg.norm(closure) / scale
         if rel >= 1e-10:
             failures.append(f"node {node}: oriented-area closure {rel:.2e} >= 1e-10")
@@ -144,31 +140,24 @@ def test_criterion_4_universal_equilibrium():
         g = random_connected_graph(rng, max_nodes=12, max_edges=30)
         basis = fundamental_cycles(g)
         state = random_state(rng, basis)
-        resultants = all_bar_resultants(state, basis, g)
-        scale = max((r.bivector.norm() for r in resultants.values()), default=0.0)
+        b = _bar_array(state, basis, g)
+        scale = np.linalg.norm(b, axis=1).max(initial=0.0)
         if scale == 0.0:
             continue
-        for node in g.node_ids:
-            f_res, m_res = residual_at_node(resultants, node, g)
-            rel = max(np.linalg.norm(f_res), np.linalg.norm(m_res)) / scale
+        for node, row in zip(g.node_ids, _node_array(g, b)):
+            rel = max(np.linalg.norm(row[:3]), np.linalg.norm(row[3:])) / scale
             worst = max(worst, rel)
             if rel > 1e-12:
                 failures.append(
                     f"trial {trial} node {node}: residual {rel:.2e} > 1e-12"
                 )
         # negative control: corrupt one bar's force, bypassing chain summation
-        bar = g.edge_ids[int(rng.integers(0, g.e))]
-        res = resultants[bar]
-        resultants[bar] = type(res)(
-            bar=bar,
-            bivector=res.bivector,
-            force=res.force + np.array([0.01 * max(scale, 1.0), 0.0, 0.0]),
-            total_moment=res.total_moment,
-        )
-        tail, _ = g.ends(bar)
-        f_res, _ = residual_at_node(resultants, tail, g)
+        k = int(rng.integers(0, g.e))
+        b[k, :3] += np.array([0.01 * max(scale, 1.0), 0.0, 0.0])
+        tail, _ = g.ends(g.edge_ids[k])
+        f_res = _node_array(g, b)[g.node_ids.index(tail), :3]
         if np.linalg.norm(f_res) <= 1e-6:
-            failures.append(f"trial {trial}: corrupted bar {bar} went undetected")
+            failures.append(f"trial {trial}: corrupted bar {g.edge_ids[k]} went undetected")
     print(f"  (worst relative residual over 200 graphs: {worst:.2e})")
     _verdict("criterion 4 (universal equilibrium, 200 graphs)", failures)
 
@@ -194,9 +183,7 @@ def test_criterion_5_homology_properties():
             cb = Chain1(
                 {e: int(rng.integers(-5, 6)) for e in rng.choice(edges, size=min(5, len(edges)), replace=False)}
             )
-            if boundary(chain_add(ca, cb), g) != chain_add(
-                boundary(ca, g), boundary(cb, g)
-            ):
+            if boundary(ca + cb, g) != boundary(ca, g) + boundary(cb, g):
                 failures.append(f"trial {trial}: boundary is not additive")
     _verdict("criterion 5 (homology properties, 100 graphs)", failures)
 
@@ -227,7 +214,7 @@ def test_criterion_6_geometry_properties():
 
     for trial in range(1000):
         target = Bivector6(*rng.normal(size=6))
-        chain = synthesize_chain(target, Point4(*rng.uniform(-5.0, 5.0, size=4)))
+        chain = rectangle_chain(target, rng.uniform(-5.0, 5.0, size=4))
         err = (chain_area(chain) - target).norm()
         if err > 1e-12 * target.norm():
             failures.append(f"synthesis trial {trial}: error {err:.2e}")

@@ -32,6 +32,16 @@ def k5_path(tmp_path, capsys):
     return path
 
 
+@pytest.fixture()
+def k5_axial_paths(tmp_path, k5_path):
+    """K5's document and its axial state."""
+    g = k5_frame()
+    basis = fundamental_cycles(g)
+    state_path = tmp_path / "ax.json"
+    state_path.write_text(serialize_state(axial_to_state(g, basis, axial_selfstress_basis(g)[0])))
+    return k5_path, state_path
+
+
 class TestGen:
     def test_k5_document(self, capsys):
         code, out, _ = run(capsys, "gen", "k5")
@@ -239,6 +249,31 @@ class TestErrors:
         code, out, err = run(capsys, "axial", str(k5_path), "--tol", "0.2")
         assert (code, out) == (2, "")
         assert err.startswith("error: rank cut is ambiguous") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "1", "2", "1e300"])
+    @pytest.mark.parametrize("command", ["cycles", "axial", "check", "export"])
+    def test_tol_outside_zero_to_one_is_rejected(self, capsys, tmp_path, k5_axial_paths,
+                                                 command, tol):
+        """Only a finite 0 <= tol < 1 is a tolerance: NaN failed every bar,
+        inf passed every bar, and both gave false errors in axial and export."""
+        k5_path, state_path = k5_axial_paths
+        extra = {"check": ["--state", str(state_path)],
+                 "export": ["--state", str(state_path), "--out-dir", str(tmp_path / "d")]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(k5_path), f"--tol={tol}", *extra.get(command, [])])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"loopstatics {command}: error: argument --tol: "
+            f"must be a number with 0 <= tol < 1, got {tol!r}"]
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "0.999"])
+    def test_tol_inside_zero_to_one_is_accepted(self, capsys, k5_axial_paths, tol):
+        k5_path, state_path = k5_axial_paths
+        code, _, err = run(capsys, "check", str(k5_path), "--state", str(state_path),
+                           "--tol", tol)
+        assert (code, err) == (0, "")
 
     def test_unwritable_export_path(self, capsys, tmp_path, k5_path):
         blocker = tmp_path / "blocker"

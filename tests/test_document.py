@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ from loopstatics import (
     StateError,
     StructureError,
     fundamental_cycles,
-    generate_k5,
-    generate_prism,
+    k5_frame,
     parse_state,
     parse_structure,
+    prism_frame,
     serialize_state,
     serialize_structure,
     validate_structure,
 )
+from loopstatics.cli import main
 
 MINIMAL = """
 {
@@ -28,6 +31,14 @@ MINIMAL = """
   "bars": [{"id": "a", "tail": "x", "head": "y"}]
 }
 """
+
+
+def gen(*argv):
+    """The document `loopstatics gen` writes to stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["gen", *argv]) == 0
+    return parse_structure(out.getvalue())
 
 
 class TestParseValidate:
@@ -89,7 +100,7 @@ class TestRoundTrip:
         assert again == doc
 
     def test_k5_generator_output_reparses_identically(self):
-        doc = generate_k5()
+        doc = gen("k5")
         assert parse_structure(serialize_structure(doc)) == doc
 
     def test_unknown_fields_survive(self):
@@ -106,43 +117,43 @@ class TestRoundTrip:
         assert again.bars[0].extras["material"] == "steel"
 
     def test_serialization_is_deterministic(self):
-        doc = generate_prism(twist=0.25)
+        doc = gen("prism", "--twist", "0.25")
         assert serialize_structure(doc) == serialize_structure(doc)
 
 
 class TestGenerators:
     def test_k5_counts(self):
-        g = validate_structure(generate_k5())
+        g = validate_structure(gen("k5"))
         assert (g.v, g.e) == (5, 10)
         assert len(fundamental_cycles(g)) == 6
 
     def test_k5_center_elsewhere_same_topology(self):
-        base = validate_structure(generate_k5())
-        moved = validate_structure(generate_k5(center=(4.0, 4.0, 4.0)))
+        base = validate_structure(gen("k5"))
+        moved = validate_structure(gen("k5", "--center", "4", "4", "4"))
         assert moved.edge_ids == base.edge_ids
         assert [moved.ends(e) for e in moved.edge_ids] == [
             base.ends(e) for e in base.edge_ids
         ]
 
     def test_prism_counts_and_valence(self):
-        g = validate_structure(generate_prism(twist=0.4))
+        g = validate_structure(gen("prism", "--twist", "0.4"))
         assert (g.v, g.e) == (6, 12)
         for n in g.node_ids:
             assert len(g.incident_edges(n)) == 4
 
     def test_prism_geometry_on_the_cylinder(self):
-        doc = generate_prism(radius=1.0, half_height=0.5, twist=0.3)
+        doc = gen("prism", "--radius", "1", "--half-height", "0.5", "--twist", "0.3")
         for rec in doc.nodes:
             assert np.hypot(rec.x, rec.y) == pytest.approx(1.0)
             assert abs(rec.z) == pytest.approx(0.5)
 
     def test_prism_needs_positive_radius(self):
         with pytest.raises(StructureError, match="radius"):
-            generate_prism(radius=0.0)
+            prism_frame(radius=0.0)
 
     def test_k5_needs_four_corners(self):
         with pytest.raises(StructureError, match="4 outer"):
-            generate_k5(outer=[(0, 0, 0)])
+            k5_frame(outer=[(0, 0, 0)])
 
 
 class TestStateDocuments:

@@ -11,21 +11,22 @@ from loopstatics import (
     all_bar_resultants,
     axial_selfstress_basis,
     axial_to_state,
-    bar_resultant,
     check_axial,
-    cycle_membership,
     fundamental_cycles,
-    incidence_sign,
     k5_frame,
-    node_residual,
     prism_frame,
-    residual_at_node,
     selfstress_dimension,
 )
 
 from loopstatics.selfstress import _bar_array, _bar_frames, _node_array
 
-from helpers import lattice_graph, random_connected_graph, random_state, ref_bar_frames
+from helpers import (
+    lattice_graph,
+    random_connected_graph,
+    random_state,
+    ref_bar_frames,
+    ref_bar_resultant,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ class TestBarResultant:
         g, basis = k5
         rng = np.random.default_rng(1)
         state = random_state(rng, basis)
-        res = bar_resultant(state, "o12", basis, g)
+        res = all_bar_resultants(state, basis, g)["o12"]
         assert np.allclose(
             res.bivector.components(),
             state.resultant("o12").components(),
@@ -50,33 +51,32 @@ class TestBarResultant:
         rng = np.random.default_rng(2)
         state = random_state(rng, basis)
         expected = ZERO_BIVECTOR
-        for cid, coeff in cycle_membership("s2", basis, g):
-            expected = expected + coeff * state.resultant(cid)
-        res = bar_resultant(state, "s2", basis, g)
+        for cycle in basis:
+            expected = expected + cycle.chain.coefficient("s2") * state.resultant(cycle.generator)
+        res = all_bar_resultants(state, basis, g)["s2"]
         assert np.allclose(res.bivector.components(), expected.components())
 
     def test_zero_state_gives_zero_everywhere(self, k5):
         g, basis = k5
         state = SelfStressState.zero(basis)
-        for bar in g.edge_ids:
-            assert bar_resultant(state, bar, basis, g).bivector.norm() == 0.0
+        for res in all_bar_resultants(state, basis, g).values():
+            assert res.bivector.norm() == 0.0
 
     def test_missing_cycle_entry_is_a_state_error(self, k5):
         g, basis = k5
         state = SelfStressState({basis[0].generator: ZERO_BIVECTOR})
-        with pytest.raises(StateError, match="no resultant"):
-            bar_resultant(state, "s0", basis, g)
+        with pytest.raises(StateError, match="missing resultants"):
+            all_bar_resultants(state, basis, g)
 
     def test_linear_in_the_state(self, k5):
         g, basis = k5
         rng = np.random.default_rng(3)
         s1, s2 = random_state(rng, basis), random_state(rng, basis)
+        both = all_bar_resultants(s1 + s2, basis, g)
+        r1, r2 = all_bar_resultants(s1, basis, g), all_bar_resultants(s2, basis, g)
         for bar in g.edge_ids:
-            lhs = bar_resultant(s1 + s2, bar, basis, g).bivector.components()
-            rhs = (
-                bar_resultant(s1, bar, basis, g).bivector
-                + bar_resultant(s2, bar, basis, g).bivector
-            ).components()
+            lhs = both[bar].bivector.components()
+            rhs = (r1[bar].bivector + r2[bar].bivector).components()
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -88,44 +88,32 @@ class TestNodeResidual:
             g = random_connected_graph(rng)
             basis = fundamental_cycles(g)
             state = random_state(rng, basis)
-            resultants = all_bar_resultants(state, basis, g)
-            scale = max(
-                (r.bivector.norm() for r in resultants.values()), default=0.0
-            )
-            for node in g.node_ids:
-                f_res, m_res = residual_at_node(resultants, node, g)
-                assert np.linalg.norm(f_res) <= 1e-12 * max(scale, 1e-300)
-                assert np.linalg.norm(m_res) <= 1e-12 * max(scale, 1e-300)
+            b = _bar_array(state, basis, g)
+            scale = np.linalg.norm(b, axis=1).max(initial=0.0)
+            for row in _node_array(g, b):
+                assert np.linalg.norm(row[:3]) <= 1e-12 * max(scale, 1e-300)
+                assert np.linalg.norm(row[3:]) <= 1e-12 * max(scale, 1e-300)
 
     def test_zero_state_is_exactly_zero(self, k5):
         g, basis = k5
-        state = SelfStressState.zero(basis)
-        for node in g.node_ids:
-            f_res, m_res = node_residual(state, node, g, basis)
-            assert np.all(f_res == 0.0) and np.all(m_res == 0.0)
+        b = _bar_array(SelfStressState.zero(basis), basis, g)
+        assert np.all(_node_array(g, b) == 0.0)
 
     def test_corrupting_one_bar_breaks_equilibrium_at_its_endpoints(self, k5):
         g, basis = k5
         rng = np.random.default_rng(5)
         state = random_state(rng, basis)
-        resultants = all_bar_resultants(state, basis, g)
+        b = _bar_array(state, basis, g)
         bar = "o03"
-        bad = resultants[bar]
-        resultants[bar] = type(bad)(
-            bar=bar,
-            bivector=bad.bivector,
-            force=bad.force + np.array([0.5, 0.0, 0.0]),
-            total_moment=bad.total_moment,
-        )
+        b[g.edge_ids.index(bar), :3] += np.array([0.5, 0.0, 0.0])
+        n = _node_array(g, b)
         tail, head = g.ends(bar)
-        for node in (tail, head):
-            f_res, _ = residual_at_node(resultants, node, g)
-            assert np.linalg.norm(f_res) > 1e-6
-        for node in g.node_ids:
+        for k, node in enumerate(g.node_ids):
+            f_res = n[k, :3]
             if node in (tail, head):
-                continue
-            f_res, _ = residual_at_node(resultants, node, g)
-            assert np.linalg.norm(f_res) <= 1e-12
+                assert np.linalg.norm(f_res) > 1e-6
+            else:
+                assert np.linalg.norm(f_res) <= 1e-12
 
 
 class TestAxialCheck:
@@ -173,9 +161,8 @@ class TestAxialCheck:
         report = check_axial(state, g, basis)
         assert report["b"].axial_force == pytest.approx(3.0)
         assert report["a"].axial_force == pytest.approx(-3.0)
-        for node in g.node_ids:
-            f_res, m_res = node_residual(state, node, g, basis)
-            assert np.linalg.norm(f_res) < 1e-12 and np.linalg.norm(m_res) < 1e-12
+        for row in _node_array(g, _bar_array(state, basis, g)):
+            assert np.linalg.norm(row[:3]) < 1e-12 and np.linalg.norm(row[3:]) < 1e-12
 
     def test_isostatic_triangle_has_no_axial_selfstress(self):
         from loopstatics import FrameGraph
@@ -215,20 +202,17 @@ def test_array_core_matches_the_per_bar_and_per_node_definitions(seed):
     basis = fundamental_cycles(g)
     state = random_state(rng, basis)
     b = _bar_array(state, basis, g)
-    reference = {bar: bar_resultant(state, bar, basis, g) for bar in g.edge_ids}
+    reference = {bar: ref_bar_resultant(state, bar, basis, g) for bar in g.edge_ids}
     for i, bar in enumerate(g.edge_ids):
         assert np.array_equal(b[i], reference[bar].bivector.components())
     n = _node_array(g, b)
     for k, node in enumerate(g.node_ids):
         f_res, m_res = np.zeros(3), np.zeros(3)
         for bar in g.incident_edges(node):
-            sign = incidence_sign(g, bar, node)
+            sign = 1 if g.ends(bar)[1] == node else -1  # +1 into the node
             f_res += sign * reference[bar].force
             m_res += sign * reference[bar].total_moment
         assert np.array_equal(n[k], np.concatenate([f_res, m_res]))
-        assert np.array_equal(
-            np.concatenate(residual_at_node(reference, node, g)), n[k]
-        )
 
 
 def test_bar_frames_are_the_per_bar_geometry_bitwise():

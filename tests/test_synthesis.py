@@ -4,8 +4,9 @@ import pytest
 from loopstatics import (
     Bivector6,
     DualChain,
-    LoopPath,
+    FrameGraph,
     Point4,
+    SelfStressState,
     StructureError,
     all_bar_resultants,
     axial_selfstress_basis,
@@ -16,22 +17,34 @@ from loopstatics import (
     is_simple,
     k5_frame,
     loop_area,
-    merge_chain,
     moment_of,
     prism_critical_twist,
     prism_frame,
-    synthesize_chain,
-    triangle_for_axial,
+    realize_state,
     zero_bar_loop,
 )
-from loopstatics.selfstress import incidence_sign
+from loopstatics.synthesis import _merge_rows, _triangles
 
-from helpers import random_state
+from helpers import item_area, loop_of, random_state, rectangle_chain, ref_merge_chain
+
+
+def triangle(mid, force, moment):
+    """The loop of `_triangles` for one axial bar."""
+    f = np.asarray(force, dtype=float)
+    return loop_of(_triangles(np.array([mid], dtype=float), f[None],
+                              np.array([moment], dtype=float),
+                              np.array([np.linalg.norm(f)]))[0])
+
+
+def rectangle_rows(target: Bivector6, anchor=(0.0, 0.0, 0.0, 0.0)) -> list:
+    """The loops of `rectangle_chain`, as lists of vertex rows."""
+    return [[(v.x, v.y, v.z, v.h) for v in loop.vertices]
+            for _, loop in rectangle_chain(target, anchor).terms]
 
 
 class TestSynthesizeChain:
     def test_single_component_is_one_rectangle(self):
-        chain = synthesize_chain(Bivector6(ij=2.0))
+        chain = rectangle_chain(Bivector6(ij=2.0))
         assert len(chain) == 1
         area = chain_area(chain)
         assert area.ij == 2.0 and area.norm() == 2.0
@@ -42,14 +55,14 @@ class TestSynthesizeChain:
         assert max(ys) - min(ys) == 1.0
 
     def test_zero_target_is_empty(self):
-        assert len(synthesize_chain(Bivector6())) == 0
+        assert len(rectangle_chain(Bivector6())) == 0
 
     def test_k5_tree_bar_resultant_target(self):
         g = k5_frame()
         basis = fundamental_cycles(g)
         state = random_state(np.random.default_rng(21), basis)
         target = all_bar_resultants(state, basis, g)["s1"].bivector
-        chain = synthesize_chain(target)
+        chain = rectangle_chain(target)
         assert len(chain) <= 6
         err = (chain_area(chain) - target).norm()
         assert err <= 1e-12 * target.norm()
@@ -58,26 +71,21 @@ class TestSynthesizeChain:
         rng = np.random.default_rng(22)
         for _ in range(1000):
             target = Bivector6(*rng.normal(size=6))
-            anchor = Point4(*rng.uniform(-5.0, 5.0, size=4))
-            err = (chain_area(synthesize_chain(target, anchor)) - target).norm()
+            anchor = rng.uniform(-5.0, 5.0, size=4)
+            err = (chain_area(rectangle_chain(target, anchor)) - target).norm()
             assert err <= 1e-12 * target.norm()
 
     def test_anchor_never_changes_the_area(self):
         target = Bivector6(1.0, -2.0, 3.0, -0.5, 0.25, 4.0)
-        a = chain_area(synthesize_chain(target, Point4(0, 0, 0, 0)))
-        b = chain_area(synthesize_chain(target, Point4(8.5, -3.25, 2.0, 1.5)))
+        a = chain_area(rectangle_chain(target, (0, 0, 0, 0)))
+        b = chain_area(rectangle_chain(target, (8.5, -3.25, 2.0, 1.5)))
         assert np.allclose(a.components(), b.components(), atol=1e-12)
 
 
 class TestTriangleForAxial:
     def test_bar_through_origin_gives_flat_triangle(self):
-        loop = triangle_for_axial(
-            np.array([0.0, 0.0, -1.0]),
-            np.array([0.0, 0.0, 1.0]),
-            np.array([0.0, 0.0, 1.0]),
-            np.zeros(3),
-        )
-        assert isinstance(loop, LoopPath)
+        loop = triangle(np.zeros(3), [0.0, 0.0, 1.0], np.zeros(3))
+        assert len(loop.vertices) == 3
         assert all(v.h == 0.0 for v in loop.vertices)
         assert all(v.z == 0.0 for v in loop.vertices)
         b = loop_area(loop)
@@ -97,7 +105,7 @@ class TestTriangleForAxial:
                 continue
             force = q * u
             moment = np.cross(0.5 * (tail + head), force)
-            loop = triangle_for_axial(tail, head, force, moment)
+            loop = triangle(0.5 * (tail + head), force, moment)
             b = loop_area(loop)
             assert np.allclose(force_of(b), force, atol=1e-10)
             assert np.allclose(moment_of(b), moment, atol=1e-10)
@@ -110,70 +118,51 @@ class TestTriangleForAxial:
         g = k5_frame()
         basis = fundamental_cycles(g)
         state = axial_to_state(g, basis, axial_selfstress_basis(g)[0])
-        for cycle in basis:
-            gen = cycle.generator
-            tail, head = g.ends(gen)
-            loop = triangle_for_axial(
-                g.position(tail),
-                g.position(head),
-                force_of(state.resultant(gen)),
-                moment_of(state.resultant(gen)),
-            )
-            spatial = force_of(loop_area(loop))
-            assert np.linalg.norm(np.cross(spatial, g.direction(gen))) < 1e-10
+        items = realize_state(g, basis, state, per="cycle").items
+        assert len(items) == len(basis)
+        for name, chain, loops in items:
+            assert not chain and len(loops) == 1
+            spatial = force_of(loop_area(loop_of(loops[0])))
+            assert np.linalg.norm(np.cross(spatial, g.direction(name.removeprefix("cycle_")))) < 1e-10
 
     def test_prism_triangle_areas_close_at_every_node(self):
         g = prism_frame(twist=prism_critical_twist())
         basis = fundamental_cycles(g)
         state = axial_to_state(g, basis, axial_selfstress_basis(g)[0])
         resultants = all_bar_resultants(state, basis, g)
-        triangles = {}
-        for e in g.edge_ids:
-            tail, head = g.ends(e)
-            triangles[e] = triangle_for_axial(
-                g.position(tail), g.position(head),
-                resultants[e].force, resultants[e].total_moment,
-            )
+        triangles = {name: loops for name, _, loops in realize_state(g, basis, state).items}
         scale = max(np.linalg.norm(resultants[e].force) for e in g.edge_ids)
         for node in g.node_ids:
             total = np.zeros(3)
             for e in g.incident_edges(node):
-                total += incidence_sign(g, e, node) * force_of(loop_area(triangles[e]))
+                sign = 1 if g.ends(e)[1] == node else -1  # +1 into the node
+                total += sign * force_of(item_area(triangles[f"bar_{e}"]))
             assert np.linalg.norm(total) <= 1e-10 * scale
 
-    def test_non_parallel_force_rejected(self):
-        with pytest.raises(StructureError, match="not parallel"):
-            triangle_for_axial(
-                np.zeros(3), np.array([1.0, 0, 0]),
-                np.array([0.0, 1.0, 0.0]), np.zeros(3),
-            )
-
-    def test_inconsistent_moment_rejected(self):
-        tail, head = np.array([0.0, 2.0, 0.0]), np.array([1.0, 2.0, 0.0])
-        force = np.array([1.5, 0.0, 0.0])
-        with pytest.raises(StructureError, match="moment"):
-            triangle_for_axial(tail, head, force, np.array([5.0, 5.0, 5.0]))
-
     def test_zero_force_with_moment_falls_back_to_rectangles(self):
-        chain = triangle_for_axial(
-            np.zeros(3), np.array([1.0, 0, 0]),
-            np.zeros(3), np.array([0.0, 0.0, 2.0]),
-        )
-        assert isinstance(chain, DualChain)
-        b = chain_area(chain)
-        assert np.allclose(moment_of(b), [0, 0, 2.0])
-        assert np.allclose(force_of(b), [0, 0, 0])
+        g = FrameGraph([("x", (0, 0, 0)), ("y", (1, 0, 0))], [("a", "x", "y"), ("b", "x", "y")])
+        basis = fundamental_cycles(g)
+        state = SelfStressState({"b": Bivector6(kh=2.0)})
+        realized = realize_state(g, basis, state)
+        assert realized.fallbacks == ("bar_a", "bar_b")
+        for name, _, loops in realized.items:
+            b = item_area(loops)
+            assert np.allclose(moment_of(b), [0, 0, 2.0 if name == "bar_b" else -2.0])
+            assert np.allclose(force_of(b), [0, 0, 0])
 
     def test_zero_force_zero_moment_is_an_empty_chain(self):
-        chain = triangle_for_axial(
-            np.zeros(3), np.array([1.0, 0, 0]), np.zeros(3), np.zeros(3)
-        )
-        assert isinstance(chain, DualChain) and len(chain) == 0
+        g = k5_frame()
+        basis = fundamental_cycles(g)
+        state = random_state(np.random.default_rng(25), basis)
+        state = SelfStressState({**state.resultants, "o23": Bivector6()})
+        names = [name for name, _, _ in realize_state(g, basis, state, per="cycle").items]
+        assert names == [f"cycle_{c.generator}" for c in basis if c.generator != "o23"]
 
     def test_degenerate_bar_rejected(self):
+        g = FrameGraph([("x", (0, 0, 0)), ("y", (0, 0, 0))], [("a", "x", "y"), ("b", "x", "y")])
+        state = SelfStressState({"b": Bivector6(ij=1.0)})
         with pytest.raises(StructureError, match="coincident"):
-            triangle_for_axial(np.zeros(3), np.zeros(3),
-                               np.array([1.0, 0, 0]), np.zeros(3))
+            realize_state(g, fundamental_cycles(g), state)
 
 
 class TestZeroBarLoop:
@@ -194,7 +183,7 @@ class TestZeroBarLoop:
 
     def test_additive_identity_in_a_chain(self):
         target = Bivector6(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-        chain = synthesize_chain(target)
+        chain = rectangle_chain(target)
         bowtie = zero_bar_loop(np.array([1.0, 0.0, 0.0]))
         extended = chain + DualChain(((1, bowtie),))
         assert np.allclose(
@@ -209,22 +198,18 @@ class TestZeroBarLoop:
 class TestMergeChain:
     def test_rectangles_merge_into_one_connected_loop(self):
         target = Bivector6(1.0, -2.0, 0.5, 3.0, -0.25, 1.5)
-        chain = synthesize_chain(target)
-        merged = merge_chain(chain)
+        merged = _merge_rows(rectangle_rows(target))
         assert len(merged) == 1
-        assert np.allclose(
-            chain_area(merged).components(), target.components(), atol=1e-12
-        )
+        assert np.allclose(item_area(merged).components(), target.components(), atol=1e-12)
 
     def test_negative_coefficients_fold_into_orientation(self):
-        sq = synthesize_chain(Bivector6(ij=1.0)).terms[0][1]
+        sq = rectangle_chain(Bivector6(ij=1.0)).terms[0][1]
         chain = DualChain(((-2, sq),))
-        merged = merge_chain(chain)
+        merged = ref_merge_chain(chain)
         assert sum(c for c, _ in merged.terms) == len(merged.terms)  # all +1
         assert chain_area(merged).ij == pytest.approx(-2.0)
 
     def test_disjoint_loops_stay_apart(self):
-        a = synthesize_chain(Bivector6(ij=1.0), Point4(0, 0, 0, 0)).terms[0][1]
-        b = synthesize_chain(Bivector6(ij=1.0), Point4(10, 10, 10, 0)).terms[0][1]
-        merged = merge_chain(DualChain(((1, a), (1, b))))
-        assert len(merged) == 2
+        a = rectangle_rows(Bivector6(ij=1.0), (0, 0, 0, 0))
+        b = rectangle_rows(Bivector6(ij=1.0), (10, 10, 10, 0))
+        assert len(_merge_rows(a + b)) == 2
