@@ -71,22 +71,28 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a number with 0 <= tol < 1, got {text!r}")
 
 
-def _add_common(p):
+def _add_common(p, tol: bool = True, report: bool = True):
+    """The structure and the options that a subcommand reads: `tol` adds
+    --tol, `report` adds the report's --format and -o/--out."""
     p.add_argument("structure", help="structure document path ('-' for stdin)")
     p.add_argument("--tree-root", type=_parse_node_id, default=None,
                    help="override the spanning-tree root node")
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="relative tolerance for rank and axial checks, 0 <= tol < 1")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("-o", "--out", default=None, help="write output to a file")
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
+                       help="relative tolerance for rank and axial checks, 0 <= tol < 1")
+    if report:
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("-o", "--out", default=None, help="write output to a file")
 
 
 class _Parser(argparse.ArgumentParser):
     """A parser, and through `add_subparsers` its subparsers, that takes a
-    negative number in any form float() reads, -1e5 say, for a value."""
+    negative number in any form float() reads, -1e5 say, for a value, and
+    options only spelled in full, so that `export --out` is not read as
+    `--out-dir`."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -114,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_prism.add_argument("-o", "--out", default=None)
 
     cycles = sub.add_parser("cycles", help="spanning tree and cycle basis report")
-    _add_common(cycles)
+    _add_common(cycles, tol=False)
 
     axial = sub.add_parser(
         "axial", help="equilibrium-matrix analysis and loop reconstruction"
@@ -126,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--state", required=True, help="stress-state document path")
 
     export = sub.add_parser("export", help="write form/force diagram meshes")
-    _add_common(export)
+    _add_common(export, report=False)
     source = export.add_mutually_exclusive_group()
     source.add_argument("--state", default=None, help="stress-state document path")
     source.add_argument("--axial", action="store_true",

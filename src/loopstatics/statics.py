@@ -69,10 +69,20 @@ class StaticsSummary:
 
 def equilibrium_matrix(graph: FrameGraph) -> EquilibriumMatrix:
     units, _ = _bar_frames(graph)  # raises on coincident endpoints
-    rows = 3 * _end_rows(graph)[:, :, None] + np.arange(3)  # e x (tail, head) x 3
-    a = np.zeros((3 * graph.v, graph.e))
-    a[rows, np.arange(graph.e)[:, None, None]] = np.stack([-units, units], axis=1)
+    a = _block(units, _end_rows(graph), 0, 3 * graph.v, np.arange(graph.e))
     return EquilibriumMatrix(matrix=a, node_ids=graph.node_ids, edge_ids=graph.edge_ids)
+
+
+def _block(units, ends, r0: int, r1: int, cols, order: str = "C") -> np.ndarray:
+    """A[r0:r1, cols] of the equilibrium matrix of bars with these e x 3
+    unit vectors and e x 2 (tail, head) node indices.  BLAS products round
+    by layout, so `order` is that of the slice of the dense A it stands for."""
+    rows = 3 * ends[cols][:, :, None] + np.arange(3) - r0  # bars x (tail, head) x 3
+    bar = np.broadcast_to(np.arange(rows.shape[0])[:, None, None], rows.shape)
+    inside = (rows >= 0) & (rows < r1 - r0)
+    block = np.zeros((r1 - r0, rows.shape[0]), order=order)
+    block[rows[inside], bar[inside]] = np.stack([-units[cols], units[cols]], axis=1)[inside]
+    return block
 
 
 def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
@@ -89,6 +99,10 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     diagonal R of its QR, with no Q formed.  N and one correction step take
     one pseudo-inverse of the other (basic) columns.  The basis is thus a
     function of the frame alone, up to rounding.
+
+    The dense equilibrium matrix A lives only through the SVD.  The basis
+    steps build with `_block` only the blocks of A they use: 64 columns at
+    a time, the redundant columns, and 192 rows at a time.
     """
     a = equilibrium_matrix(graph).matrix
     if a.size > _EXACT_SVD_SIZE:
@@ -98,9 +112,10 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     # a tolerance below numpy's default rank tolerance would count rounding
     # noise as rank, and let it pass for independent columns
     cut = max(rtol, max(a.shape) * np.finfo(float).eps) * sigma[0] if sigma.size else 0.0
+    del a
     rank = int(np.sum(sigma > cut))
     s = graph.e - rank
-    null = _force_method_basis(a, cut, s) if s else np.zeros((0, graph.e))
+    null = _force_method_basis(graph, cut, s) if s else np.zeros((0, graph.e))
     return StaticsSummary(
         s=s,
         m=3 * graph.v - 6 - rank,
@@ -121,38 +136,56 @@ _EXACT_SVD_SIZE = 1 << 10
 # Columns of the equilibrium matrix taken together by the redundant-bar
 # search; its Python iterations scale with blocks plus redundant bars.
 _BLOCK = 64
+# Rows of the equilibrium matrix built at a time for the product A @ v.
+_ROWS = 192
 
 
-def _force_method_basis(a: np.ndarray, cut: float, s: int) -> np.ndarray:
-    """The s x e orthonormalized reduced form of a's null space; `cut` is
-    the rank cut that a column's scaled residual must exceed.  N^T is I on
-    the redundant rows F and -solve @ a[:, F] on the basic rows."""
-    solve, redundant = _redundant_bars(a, cut)
+def _force_method_basis(graph: FrameGraph, cut: float, s: int) -> np.ndarray:
+    """The s x e orthonormalized reduced form of the null space of the
+    graph's equilibrium matrix A; `cut` is the rank cut that a column's
+    scaled residual must exceed.  N^T is I on the redundant rows F and
+    -solve @ A[:, F] on the basic rows.  A[:, F] is built whole, and the
+    correction's A @ v from blocks of 192 rows of A."""
+    units, _ = _bar_frames(graph)
+    ends, m = _end_rows(graph), 3 * graph.v
+    solve, redundant = _redundant_bars(units, ends, m, cut)
     if redundant.size != s:
         raise StructureError(
             f"rank cut is ambiguous at this tolerance: the singular values give "
             f"s = {s}, but {redundant.size} bars depend on the bars before them"
         )
-    basic = np.ones(a.shape[1], dtype=bool)
+    basic = np.ones(graph.e, dtype=bool)
     basic[redundant] = False
-    v = np.zeros((a.shape[1], s))  # N^T
+    v = np.zeros((graph.e, s))  # N^T
     v[redundant, np.arange(s)] = 1.0
-    v[basic] = -(solve @ a[:, redundant])
+    v[basic] = -(solve @ _block(units, ends, 0, m, redundant, order="F"))
     v = _orthonormal(v)
     # one correction step: re-solve the basic part against the residual
-    step = solve @ (a @ v)
+    step = solve @ _product(units, ends, m, v)
     del solve  # frees its memory before the second QR
     v[basic] -= step
     return _orthonormal(v).T
 
 
-def _redundant_bars(a: np.ndarray, cut: float) -> tuple:
-    """Blocked Gram-Schmidt over a's columns in order.
+def _product(units: np.ndarray, ends: np.ndarray, m: int, v: np.ndarray) -> np.ndarray:
+    """A @ v for the m-row equilibrium matrix A, one block of _ROWS rows of
+    A at a time; under one BLAS thread it is the full product to the bit."""
+    out = np.empty((m, v.shape[1]))
+    every = np.arange(units.shape[0])
+    for r0 in range(0, m, _ROWS):
+        out[r0:r0 + _ROWS] = _block(units, ends, r0, min(r0 + _ROWS, m), every) @ v
+    return out
+
+
+def _redundant_bars(units: np.ndarray, ends: np.ndarray, m: int, cut: float) -> tuple:
+    """Blocked Gram-Schmidt, in order, over the columns of the m-row
+    equilibrium matrix A of bars with these unit vectors and end nodes;
+    each block of 64 columns, A[:, cols], is built as it is reached.
 
     Returns the pseudo-inverse of the independent (basic) columns, rinv @ qt,
     and the sorted indices of the redundant columns.  qt holds orthonormal
     rows spanning the basic columns and rinv is the inverse of their
-    triangular factor (a[:, basic] = qt.T @ r).  A column is redundant
+    triangular factor (A[:, basic] = qt.T @ r).  A column is redundant
     when its residual against the earlier basic columns, over the norm of
     (its coefficients on them, -1), is at most `cut`: that is the norm of
     a unit combination of the columns up to it, and unlike the bare
@@ -162,17 +195,17 @@ def _redundant_bars(a: np.ndarray, cut: float) -> tuple:
     gives them in a small orthonormal frame, where `_select_in_order` picks
     the basic columns.  Their directions are projected against the basis
     a second time before they join it."""
-    rows, e = a.shape
-    size = min(rows, e)
-    qt, rinv = np.empty((size, rows)), np.zeros((size, size))
+    e = units.shape[0]
+    size = min(m, e)
+    qt, rinv = np.empty((size, m)), np.zeros((size, size))
     rank, redundant = 0, []
     for start in range(0, e, _BLOCK):
         cols = np.arange(start, min(start + _BLOCK, e))
         q = qt[:rank]
-        block = a[:, cols]
-        used = np.flatnonzero(block.any(axis=1))  # a is sparse
+        block = _block(units, ends, 0, m, cols, order="F")
+        used = np.flatnonzero(block.any(axis=1))  # A is sparse
         c = q[:, used] @ block[used]
-        x = block - q.T @ c  # a[:, cols] = q.T @ c + x
+        x = block - q.T @ c  # A[:, cols] = q.T @ c + x
         # a bare residual at most `cut` is redundant whatever its coefficients
         keep = _column_sq(x) > cut * cut
         redundant += cols[~keep].tolist()

@@ -263,9 +263,12 @@ class TestErrors:
             main([command, str(k5_path), f"--tol={tol}", *extra.get(command, [])])
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
-        assert [line for line in err.splitlines() if "error:" in line] == [
-            f"loopstatics {command}: error: argument --tol: "
-            f"must be a number with 0 <= tol < 1, got {tol!r}"]
+        expected = (f"loopstatics {command}: error: argument --tol: "
+                    f"must be a number with 0 <= tol < 1, got {tol!r}")
+        if command == "cycles":  # which takes no tolerance at all
+            expected = f": error: unrecognized arguments: --tol={tol}"
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1 and lines[0].endswith(expected), lines
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("tol", ["0", "0.999"])
@@ -274,6 +277,31 @@ class TestErrors:
         code, _, err = run(capsys, "check", str(k5_path), "--state", str(state_path),
                            "--tol", tol)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["cycles", "--tol", "0.9"],
+        ["cycles", "--tol=nan"],
+        ["export", "--axial", "-o", "x.txt"],
+        ["export", "--axial", "--out", "x.txt"],
+        ["export", "--axial", "--format", "text"],
+        ["export", "--state", "ax.json", "--format", "json"],
+    ], ids=" ".join)
+    def test_options_the_command_does_not_read_are_rejected(self, capsys, tmp_path,
+                                                            k5_axial_paths, monkeypatch, argv):
+        """cycles takes no tolerance, and export writes meshes, not a report:
+        each such option was accepted and ignored, and is now a usage error.
+        `--out` is not taken for an abbreviation of export's `--out-dir`."""
+        monkeypatch.chdir(tmp_path)
+        command, *rest = argv
+        extra = ["--out-dir", "d"] if command == "export" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(k5_axial_paths[0]), *extra, *rest])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        unread = " ".join(rest[-1:] if rest[-1].startswith("--") else rest[-2:])
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1 and lines[0].endswith(f": error: unrecognized arguments: {unread}")
+        assert not (tmp_path / "x.txt").exists() and not (tmp_path / "d").exists()
 
     def test_unwritable_export_path(self, capsys, tmp_path, k5_path):
         blocker = tmp_path / "blocker"
