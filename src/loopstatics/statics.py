@@ -78,10 +78,10 @@ def _block(units, ends, r0: int, r1: int, cols, order: str = "C") -> np.ndarray:
     unit vectors and e x 2 (tail, head) node indices.  BLAS products round
     by layout, so `order` is that of the slice of the dense A it stands for."""
     rows = 3 * ends[cols][:, :, None] + np.arange(3) - r0  # bars x (tail, head) x 3
-    bar = np.broadcast_to(np.arange(rows.shape[0])[:, None, None], rows.shape)
     inside = (rows >= 0) & (rows < r1 - r0)
-    block = np.zeros((r1 - r0, rows.shape[0]), order=order)
-    block[rows[inside], bar[inside]] = np.stack([-units[cols], units[cols]], axis=1)[inside]
+    block = np.zeros((r1 - r0, len(rows)), order=order)
+    u = units[cols]
+    block[rows[inside], inside.nonzero()[0]] = np.stack([-u, u], axis=1)[inside]
     return block
 
 
