@@ -100,10 +100,19 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     one pseudo-inverse of the other (basic) columns.  The basis is thus a
     function of the frame alone, up to rounding.
 
-    The dense equilibrium matrix A lives only through the SVD.  The basis
-    steps build with `_block` only the blocks of A they use: 64 columns at
-    a time, the redundant columns, and 192 rows at a time.
+    The dense equilibrium matrix A lives only through the SVD, whose input
+    and copy of it are the peak.  The basis steps build with `_block` only
+    the blocks of A they use, 64 columns or 192 rows at a time, and hold no
+    more than about two factors the size of A's basic columns.
+
+    The counts take the frame's 6 rigid-body motions, so a frame with fewer
+    than 3 nodes, or with every node on one line, is a StructureError.
     """
+    pos = np.array([graph.position(n) for n in graph.node_ids])
+    if graph.v < 3 or np.linalg.matrix_rank(pos - pos.mean(axis=0)) < 2:
+        raise StructureError(
+            "statics need at least 3 nodes not on one line: the counts take 6 rigid-body motions"
+        )
     a = equilibrium_matrix(graph).matrix
     if a.size > _EXACT_SVD_SIZE:
         sigma = np.linalg.svd(a, compute_uv=False)
@@ -133,8 +142,9 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
 # to the bit, so such a frame's reported sigma_min does not move.  Larger
 # ones take the values alone, in under half the time.
 _EXACT_SVD_SIZE = 1 << 10
-# Columns of the equilibrium matrix taken together by the redundant-bar
-# search; its Python iterations scale with blocks plus redundant bars.
+# Columns taken together by the redundant-bar search, whose Python
+# iterations scale with blocks plus redundant bars, and by the basis's
+# products and orthonormalization, whose work arrays are this wide.
 _BLOCK = 64
 # Rows of the equilibrium matrix built at a time for the product A @ v.
 _ROWS = 192
@@ -144,8 +154,11 @@ def _force_method_basis(graph: FrameGraph, cut: float, s: int) -> np.ndarray:
     """The s x e orthonormalized reduced form of the null space of the
     graph's equilibrium matrix A; `cut` is the rank cut that a column's
     scaled residual must exceed.  N^T is I on the redundant rows F and
-    -solve @ A[:, F] on the basic rows.  A[:, F] is built whole, and the
-    correction's A @ v from blocks of 192 rows of A."""
+    -solve @ A[:, F] on the basic rows.
+
+    At once it holds solve (basic bars x 3v), N^T (e x s) and, for the
+    correction, A @ v (3v x s); the products with solve, the blocks of A
+    and the orthonormalization's work are 64 columns wide."""
     units, _ = _bar_frames(graph)
     ends, m = _end_rows(graph), 3 * graph.v
     solve, redundant = _redundant_bars(units, ends, m, cut)
@@ -158,13 +171,18 @@ def _force_method_basis(graph: FrameGraph, cut: float, s: int) -> np.ndarray:
     basic[redundant] = False
     v = np.zeros((graph.e, s))  # N^T
     v[redundant, np.arange(s)] = 1.0
-    v[basic] = -(solve @ _block(units, ends, 0, m, redundant, order="F"))
-    v = _orthonormal(v)
+    for j in range(0, s, _BLOCK):
+        cols = slice(j, j + _BLOCK)
+        v[basic, cols] = -(solve @ _block(units, ends, 0, m, redundant[cols], order="F"))
+    _orthonormalize(v)
     # one correction step: re-solve the basic part against the residual
-    step = solve @ _product(units, ends, m, v)
-    del solve  # frees its memory before the second QR
-    v[basic] -= step
-    return _orthonormal(v).T
+    residual = _product(units, ends, m, v)
+    for j in range(0, s, _BLOCK):
+        cols = slice(j, j + _BLOCK)
+        v[basic, cols] -= solve @ residual[:, cols]
+    del solve, residual  # frees their memory before the second pass
+    _orthonormalize(v)
+    return v.T
 
 
 def _product(units: np.ndarray, ends: np.ndarray, m: int, v: np.ndarray) -> np.ndarray:
@@ -194,7 +212,11 @@ def _redundant_bars(units: np.ndarray, ends: np.ndarray, m: int, cut: float) -> 
     Each block is projected against the basis, and the QR of its residuals
     gives them in a small orthonormal frame, where `_select_in_order` picks
     the basic columns.  Their directions are projected against the basis
-    a second time before they join it."""
+    a second time before they join it.
+
+    At once it holds qt and rinv, each up to min(m, e) x m, and one block's
+    work.  solve is formed 64 columns at a time over qt, whose rows it
+    returns a view of, so rinv, qt and solve are never all live."""
     e = units.shape[0]
     size = min(m, e)
     qt, rinv = np.empty((size, m)), np.zeros((size, size))
@@ -225,7 +247,10 @@ def _redundant_bars(units: np.ndarray, ends: np.ndarray, m: int, cut: float) -> 
         rinv[:rank, rank:rank + p] = -coef[:, basic] @ d_inv
         rinv[rank:rank + p, rank:rank + p] = d_inv
         rank += p
-    return rinv[:rank, :rank] @ qt[:rank], np.array(sorted(redundant), dtype=int)
+    solve = qt[:rank]
+    for j in range(0, m, _BLOCK):  # rinv @ qt, written over qt
+        solve[:, j:j + _BLOCK] = rinv[:rank, :rank] @ solve[:, j:j + _BLOCK]
+    return solve, np.array(sorted(redundant), dtype=int)
 
 
 def _select_in_order(z: np.ndarray, coef: np.ndarray, cut: float) -> tuple:
@@ -273,6 +298,22 @@ def _orthonormal(x: np.ndarray) -> np.ndarray:
     return x @ r_inv
 
 
+def _orthonormalize(x: np.ndarray) -> None:
+    """Overwrite x with the Q of x = QR, R's diagonal positive, by block
+    Gram-Schmidt run twice (Barlow & Smoktunowicz 2013): each block of 64
+    columns is projected against the columns before it and passed through
+    `_orthonormal`, twice.  Two passes keep Q orthonormal to rounding
+    where one leaves an error that grows with x's condition number.
+
+    Besides x it holds one block's projection and orthonormalization."""
+    for j in range(0, x.shape[1], _BLOCK):
+        q, block = x[:, :j], x[:, j:j + _BLOCK]
+        for _ in range(2):
+            if j:
+                block -= q @ (q.T @ block)
+            block[...] = _orthonormal(block)
+
+
 def axial_selfstress_basis(graph: FrameGraph, rtol: float = 1e-9) -> list[AxialForceVector]:
     """Orthonormal basis of axial self-stresses; empty when there are none."""
     return list(analyze_statics(graph, rtol=rtol).selfstress_basis)
@@ -280,8 +321,6 @@ def axial_selfstress_basis(graph: FrameGraph, rtol: float = 1e-9) -> list[AxialF
 
 def maxwell_calladine(graph: FrameGraph, rtol: float = 1e-9) -> tuple[int, int]:
     """(s, m) with s - m = e - 3v + 6 for a free-standing 3D frame."""
-    if graph.v < 3:
-        raise StructureError("rigid-body count needs at least 3 nodes")
     summary = analyze_statics(graph, rtol=rtol)
     return summary.s, summary.m
 

@@ -369,9 +369,9 @@ def ref_force_method_basis(a: np.ndarray, cut: float, s: int) -> np.ndarray:
     return ref_positive_qr(v).T
 
 
-def _ref_redundant_bars(a: np.ndarray, cut: float) -> tuple:
+def _ref_redundant_bars(a: np.ndarray, cut: float, orthonormal=ref_positive_qr) -> tuple:
     """qt, rinv and the redundant columns of `statics._redundant_bars`,
-    with each block's directions orthonormalized by `ref_positive_qr`."""
+    with each block's directions orthonormalized by `orthonormal`."""
     rows, e = a.shape
     size = min(rows, e)
     qt, rinv = np.empty((size, rows)), np.zeros((size, size))
@@ -394,7 +394,7 @@ def _ref_redundant_bars(a: np.ndarray, cut: float) -> tuple:
             continue
         x = x[:, basic]
         v = x @ np.linalg.inv(np.linalg.qr(z[:, basic], mode="r"))
-        y = ref_positive_qr(v - q.T @ (q @ v))
+        y = orthonormal(v - q.T @ (q @ v))
         d_inv = np.linalg.inv(y.T @ x)
         p = basic.size
         qt[rank:rank + p] = y.T

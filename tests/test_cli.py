@@ -303,6 +303,29 @@ class TestErrors:
         assert len(lines) == 1 and lines[0].endswith(f": error: unrecognized arguments: {unread}")
         assert not (tmp_path / "x.txt").exists() and not (tmp_path / "d").exists()
 
+    def test_statics_of_a_two_node_frame_exit_2(self, capsys, tmp_path):
+        """One bar has no rigid-body count of 6: axial printed m = -1.  The
+        commands that run no statics still read the frame."""
+        doc = {"nodes": [{"id": "x", "x": 0, "y": 0, "z": 0},
+                         {"id": "y", "x": 1, "y": 0, "z": 0}],
+               "bars": [{"id": "a", "tail": "x", "head": "y"}]}
+        path, state = tmp_path / "bar.json", tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        state.write_text(serialize_state(SelfStressState({})))
+        for extra in ((), ("--format", "text")):
+            code, out, err = run(capsys, "axial", str(path), *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "at least 3 nodes" in err and err.count("\n") == 1
+        code, out, err = run(capsys, "export", str(path), "--axial", "--out-dir", str(tmp_path / "a"))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert not (tmp_path / "a").exists()
+        for argv in (("cycles",), ("check", "--state", str(state))):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, err) == (0, "") and json.loads(out)["counts"]["e"] == 1
+        code, out, err = run(capsys, "export", str(path), "--state", str(state),
+                             "--out-dir", str(tmp_path / "s"))
+        assert (code, err) == (0, "") and (tmp_path / "s" / "form.obj").exists()
+
     def test_unwritable_export_path(self, capsys, tmp_path, k5_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

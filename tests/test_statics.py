@@ -26,14 +26,23 @@ from loopstatics import (
     prism_frame,
 )
 from loopstatics.selfstress import _bar_frames, _end_rows
-from loopstatics.statics import _ROWS, _block, _product
+from loopstatics.statics import (
+    _ROWS,
+    _block,
+    _orthonormal,
+    _orthonormalize,
+    _product,
+    _redundant_bars as _blocked_redundant_bars,
+)
 from loopstatics.structures import PRISM_CABLES, PRISM_STRUTS
 
 from helpers import (
     lattice_graph,
+    _ref_redundant_bars,
     random_connected_graph,
     ref_equilibrium_matrix,
     ref_force_method_basis,
+    ref_positive_qr,
     ref_prism_critical_twist,
 )
 
@@ -182,6 +191,25 @@ class TestCounts:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(StructureError, match="at least 3"):
             maxwell_calladine(single_bar())
+
+    @pytest.mark.parametrize("name", ["one node", "one bar", "collinear triangle",
+                                      "nearly collinear triangle"])
+    def test_frames_without_six_rigid_motions_are_rejected(self, name):
+        """The counts take 6 rigid-body motions, which need 3 nodes off one
+        line: one bar gave m = -1, a lone node m = -3, and three collinear
+        nodes m = 1 where 5 rigid motions leave m = 2."""
+        line = [("a", (0.0, 0.0, 0.0)), ("b", (1.0, 0.0, 0.0)), ("c", (2.0, 0.0, 0.0))]
+        bent = [*line[:2], ("c", (2.0, 1e-17, 0.0))]  # off the line by rounding only
+        triangle = [("ab", "a", "b"), ("bc", "b", "c"), ("ac", "a", "c")]
+        g = {
+            "one node": FrameGraph(nodes=line[:1], edges=[]),
+            "one bar": single_bar(),
+            "collinear triangle": FrameGraph(nodes=line, edges=triangle),
+            "nearly collinear triangle": FrameGraph(nodes=bent, edges=triangle),
+        }[name]
+        for count in (analyze_statics, maxwell_calladine):
+            with pytest.raises(StructureError, match="at least 3 nodes not on one line"):
+                count(g)
 
 
 class TestPrism:
@@ -404,9 +432,77 @@ class TestNullBasis:
         assert summary.axial_vector(3).forces == vectors[3].forces
 
     def test_no_bars_gives_an_empty_basis(self):
-        summary = analyze_statics(FrameGraph(nodes=[("a", (0, 0, 0))], edges=[]))
-        assert summary.null_basis.shape == (0, 0)
+        """A connected frame without bars is one node, which has no rigid-body
+        count of 6 (it gave m = -3) and is rejected.  The fewest bars with
+        counts, an isostatic triangle, give the empty basis, however thin."""
+        with pytest.raises(StructureError, match="at least 3"):
+            analyze_statics(FrameGraph(nodes=[("a", (0, 0, 0))], edges=[]))
+        nodes = [("a", (0, 0, 0)), ("b", (1, 0, 0)), ("c", (0, 1e-6, 0))]
+        edges = [("ab", "a", "b"), ("bc", "b", "c"), ("ac", "a", "c")]
+        summary = analyze_statics(FrameGraph(nodes=nodes, edges=edges))
+        assert (summary.s, summary.m) == (0, 0)
+        assert summary.null_basis.shape == (0, 3)
         assert summary.selfstress_basis == ()
+
+
+def _graded(rng, rows: int, cols: int, kappa: float) -> np.ndarray:
+    """A rows x cols array with condition number kappa: singular values
+    spaced evenly in log from 1 to 1/kappa between random orthonormal
+    frames."""
+    u = np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+    w = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+    return (u * np.logspace(0.0, -np.log10(kappa), cols)) @ w
+
+
+class TestInPlaceBasis:
+    """The basis steps after the SVD hold no more than blocks beside their
+    factors: N is orthonormalized over itself, and solve is formed in qt."""
+
+    def test_orthonormalize_peak_is_a_fraction_of_its_input(self):
+        x = np.random.default_rng(40).normal(size=(1638, 615))  # the side-7 N^T
+        tracemalloc.start()
+        try:
+            _orthonormalize(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * x.nbytes, peak / x.nbytes
+        assert np.abs(x.T @ x - np.eye(615)).max() <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e4, 1e8, 1e10])
+    def test_orthonormalize_is_the_positive_householder_q(self, kappa):
+        """Run twice per block, block Gram-Schmidt stays orthonormal to
+        rounding however ill-conditioned its input (Barlow & Smoktunowicz
+        2013), and gives the Q of a positive-diagonal QR to kappa roundings."""
+        x = _graded(np.random.default_rng(41), 400, 150, kappa)  # three blocks
+        ref = ref_positive_qr(x)
+        _orthonormalize(x)
+        assert np.abs(x - ref).max() <= 1e-14 * kappa
+        assert np.abs(x.T @ x - np.eye(150)).max() <= 1e-14
+
+    def test_redundant_bars_form_solve_over_their_factor(self):
+        """On the side-7 lattice, the pseudo-inverse of the basic columns is
+        formed inside qt's buffer: the traced peak stays below 2.75 times
+        it, where rinv, qt and rinv @ qt together are over 3."""
+        g = lattice_graph(np.random.default_rng(1), 7)
+        a = equilibrium_matrix(g).matrix
+        cut = max(1e-9, max(a.shape) * np.finfo(float).eps) * np.linalg.norm(a, 2)
+        units, _ = _bar_frames(g)
+        ends = _end_rows(g)
+        tracemalloc.start()
+        try:
+            solve, redundant = _blocked_redundant_bars(units, ends, a.shape[0], cut)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * solve.nbytes, peak / solve.nbytes
+        # the same route's factors, multiplied whole: against the Householder
+        # route's, solve moves by 3e-9 of its largest entry, since the basic
+        # columns' condition number is 3e9 here
+        qt, rinv, ref_redundant = _ref_redundant_bars(a, cut, _orthonormal)
+        assert redundant.tolist() == ref_redundant.tolist()
+        ref = rinv @ qt
+        assert np.abs(solve - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSelfStressCheck:
