@@ -54,9 +54,9 @@ def main():
 
     state = axial_to_state(g, basis, q)
     realized = realize_state(g, basis, state, per="bar")
-    assert not realized.fallbacks, "every bar resultant is axial"
-    triangles = {name: LoopPath(tuple(Point4(*v) for v in loops[0]))
-                 for name, _, loops in realized.items}
+    assert all(len(rows) == 3 for _, rows in realized.items), "every bar is one triangle"
+    triangles = {name: LoopPath(tuple(Point4(*v) for v in rows))
+                 for name, rows in realized.items}
     print("\noriented-area closure of the bar triangles at each node:")
     for n in g.node_ids:
         closure = np.zeros(3)

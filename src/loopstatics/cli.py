@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--share-vertex", action="store_true",
                         help="translate loops so they share a central node")
     export.add_argument("--merge-loops", action="store_true",
-                        help="splice rectangle chains into connected loops")
+                        help="accepted, has no effect: every item is one loop")
     export.add_argument("--out-dir", default=".", help="output directory")
     return parser
 
@@ -209,11 +209,7 @@ def _cmd_export(args) -> int:
             per="cycle" if args.loops == "cycles" else "bar",
             tol=args.tol,
             share_vertex=args.share_vertex,
-            merge=args.merge_loops,
         )
-        for name in realized.fallbacks:
-            why = "carries no force" if name in realized.forceless else "is not axial"
-            print(f"note: {name} {why}; exported as a rectangle chain", file=sys.stderr)
     paths = export_diagrams(graph, realized, args.out_dir)
     for p in paths:
         print(p)

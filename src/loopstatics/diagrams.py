@@ -1,10 +1,12 @@
 """Diagram export: form and force diagrams as ASCII polyline meshes.
 
-The writer emits OBJ-style text: `o` names an object, `v x y z` records a
-vertex, and each vertex is followed by an `h <value>` attribute line
-carrying its stress-space coordinate.  Closed loops are written as `l`
-polylines that repeat their first index, preserving orientation.  Output
-bytes are deterministic for identical input.
+The writer emits OBJ-style text under a `# loopstatics mesh 2` header:
+`o` names an object, `v x y z` records a vertex, and each vertex is
+followed by an `h <value>` attribute line carrying its stress-space
+coordinate.  The force diagram is one object per realized bar or cycle,
+each one closed loop of 3 or 6 vertices, written as an `l` polyline that
+repeats its first index, preserving orientation.  Output bytes are
+deterministic for identical input.
 """
 
 from __future__ import annotations
@@ -19,28 +21,22 @@ from .chains import FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
 from .selfstress import SelfStressState, _axial_verdicts, _bar_array, _bar_frames
-from .synthesis import _merge_rows, _rectangles, _triangles
+from .synthesis import _normal_form_loops, _triangles
 
 
 @dataclass(frozen=True)
 class RealizedDiagram:
     """Named dual loops realizing a state, as vertex rows.
 
-    Each item is (name, is_chain, loops), one per realized bar or cycle; a
-    loop is a list of (x, y, z, h) float tuples, closed back to its first
-    vertex.  A chain item is a chain of rectangles, the fallback for a
-    resultant that no triangle carries; any other item is one triangle.
-    `forceless` names the chain items that pass the axial test but carry
-    no force.
+    Each item is (name, rows), one per realized bar or cycle: the vertex
+    rows, (x, y, z, h) float tuples, of one loop closed back to its first
+    vertex.
     """
 
     items: tuple
-    forceless: tuple = ()
-
-    @property
-    def fallbacks(self) -> tuple:
-        """Names of the loops that fell back to rectangle chains."""
-        return tuple(name for name, chain, _ in self.items if chain)
+    # Always empty, as every resultant is one loop; kept for callers that
+    # count fallback drawings.
+    fallbacks = ()
 
     def __len__(self) -> int:
         return len(self.items)
@@ -53,22 +49,22 @@ def realize_state(
     per: str = "bar",
     tol: float = 1e-9,
     share_vertex: bool = False,
-    merge: bool = False,
 ) -> RealizedDiagram:
     """Build one dual loop per bar (`per="bar"`) or per basis cycle
     (`per="cycle"`).
 
     Bars that pass the axial test, judged together over the whole state,
-    become flat triangles normal to their bar; anything else is realized as
-    a rectangle chain and reported as a fallback.
-    Zero resultants are skipped.  With share_vertex, every loop is
-    translated so its first vertex lands on a common central node
-    (translation does not change any projected area).  All triangles, and
-    all rectangles, are built at once as vertex arrays.
+    become flat triangles normal to their bar.  Any other resultant becomes
+    the loop of its normal form, anchored at the bar's midpoint: 3 vertices
+    when its bivector is simple, 6 when not.  Zero Bars, whose force and
+    moment are within tol of the state's scales, get no loop.  With
+    share_vertex, every loop is translated so its first vertex lands on a
+    common central node (translation does not change any projected area).
+    All loops are built at once as vertex arrays.
     """
     b = _bar_array(state, basis, graph)
     units, mids = _bar_frames(graph)
-    parallel, matches, _ = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
+    parallel, matches, _, zero = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
     if per == "bar":
         names, rows = [f"bar_{bar}" for bar in graph.edge_ids], np.arange(graph.e)
     elif per == "cycle":
@@ -79,43 +75,29 @@ def realize_state(
     else:
         raise StructureError(f"unknown realization mode {per!r}")
 
-    loaded = b[rows].any(axis=1)
+    loaded = ~zero[rows]
     names = [name for name, keep in zip(names, loaded.tolist()) if keep]
     rows = rows[loaded]
     b, mids, axial = b[rows], mids[rows], (parallel & matches)[rows]
-    # An axial bar whose force norm is zero (its square may underflow) can
-    # carry no triangle; it becomes rectangles about the origin.
-    f_norms = np.zeros(len(rows))
-    f_norms[axial] = [np.linalg.norm(f) for f in b[axial, :3]]
-    tri = f_norms > 0.0
-    anchors = np.zeros((len(rows), 4))
-    anchors[~axial, :3] = mids[~axial]
-    triangles = _triangles(mids[tri], b[tri, :3], b[tri, 3:], f_norms[tri])
-    present = b[~tri] != 0.0
-    rects_per_item = present.sum(axis=1)
-    rects = _rectangles(anchors[~tri], b[~tri])[present]
-    _check_loops(
-        names,
-        np.concatenate([triangles.reshape(-1, 4), rects.reshape(-1, 4)]),
-        np.repeat([3, 4], [len(triangles), len(rects)]),
-        np.concatenate([np.flatnonzero(tri),
-                        np.repeat(np.flatnonzero(~tri), rects_per_item)]),
-    )
-
-    tri_rows, rect_rows = iter(triangles.tolist()), iter(rects.tolist())
-    counts = iter(rects_per_item.tolist())
-    items = []
-    for name, is_triangle in zip(names, tri.tolist()):
-        if is_triangle:
-            items.append((name, False, [list(map(tuple, next(tri_rows)))]))
-            continue
-        loops = [list(map(tuple, corners)) for corners in islice(rect_rows, next(counts))]
-        items.append((name, True, _merge_rows(loops) if merge else loops))
+    general = ~axial
+    loops = np.empty((len(rows), 6, 4))
+    f_norms = np.array([np.linalg.norm(f) for f in b[axial, :3]])
+    loops[axial, :3] = _triangles(mids[axial], b[axial, :3], b[axial, 3:], f_norms)
+    anchors = np.column_stack([mids[general], np.zeros(general.sum())])
+    loops[general], simple = _normal_form_loops(anchors, b[general])
+    sizes = np.full(len(rows), 3)
+    sizes[general] = np.where(simple, 3, 6)
+    vertices = loops[np.arange(6) < sizes[:, None]]
+    owners = np.arange(len(rows))
+    _check_loops(names, vertices, sizes, owners)
     if share_vertex:
-        items = _translate_to_center(names, items)
-    forceless = (name for name, is_axial, drawn in zip(names, axial.tolist(), tri.tolist())
-                 if is_axial and not drawn)
-    return RealizedDiagram(tuple(items), tuple(forceless))
+        first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each item's first vertex
+        vertices = vertices + (0.0 - vertices[first])
+        _check_loops(names, vertices, sizes, owners)
+    vertex_rows = iter(map(tuple, vertices.tolist()))
+    return RealizedDiagram(tuple(
+        (name, list(islice(vertex_rows, size))) for name, size in zip(names, sizes.tolist())
+    ))
 
 
 def _check_loops(names, vertices, sizes, owners) -> None:
@@ -144,26 +126,6 @@ def _check_loops(names, vertices, sizes, owners) -> None:
                          "coordinates: consecutive vertices coincide")
 
 
-def _translate_to_center(names, items) -> list:
-    """Every item's loops moved so that the item's first vertex lands on
-    the origin."""
-    loops = [(k, loop) for k, (_, _, item_loops) in enumerate(items) for loop in item_loops]
-    if not loops:
-        return items
-    owners = np.array([k for k, _ in loops])
-    sizes = np.array([len(loop) for _, loop in loops])
-    vertices = np.array([row for _, loop in loops for row in loop])
-    owner = np.repeat(owners, sizes)
-    first = np.searchsorted(owner, owner)  # each vertex's item's first vertex
-    vertices = vertices + (0.0 - vertices[first])
-    _check_loops(names, vertices, sizes, owners)
-    rows = iter(map(tuple, vertices.tolist()))
-    moved = [[] for _ in items]
-    for k, loop in loops:
-        moved[k].append(list(islice(rows, len(loop))))
-    return [(name, chain, moved[k]) for k, (name, chain, _) in enumerate(items)]
-
-
 _VERTEX = "v %r %r %r\nh %r"
 
 
@@ -173,7 +135,7 @@ def _mesh_text(objects) -> str:
     repr of a numpy float is not the number's text; polylines hold 0-based
     local vertex indices, and None stands for one loop through every
     vertex, closed back to the first."""
-    lines = ["# loopstatics mesh 1"]
+    lines = ["# loopstatics mesh 2"]
     base = 1
     for name, rows, polylines in objects:
         lines.append(f"o {name}")
@@ -194,13 +156,8 @@ def form_diagram_text(graph: FrameGraph) -> str:
 
 
 def force_diagram_text(realized: RealizedDiagram) -> str:
-    """Dual loops as named closed polylines; each loop of a chain item
-    becomes its own object."""
-    return _mesh_text(
-        (f"{name}_part{k}" if chain else name, rows, None)
-        for name, chain, item_loops in realized.items
-        for k, rows in enumerate(item_loops)
-    )
+    """Dual loops as named closed polylines, one object per item."""
+    return _mesh_text((name, rows, None) for name, rows in realized.items)
 
 
 def export_diagrams(

@@ -284,7 +284,7 @@ def build_report(
     if state is not None:
         b = _bar_array(state, basis, graph)
         frames = _bar_frames(graph)
-        parallel, matches, axial = _axial_verdicts(b[:, :3], b[:, 3:], *frames, axial_tol)
+        parallel, matches, axial, _ = _axial_verdicts(b[:, :3], b[:, 3:], *frames, axial_tol)
         bar_table = np.column_stack([b, axial])
         verdicts = np.column_stack([parallel, matches])
         node_table = _node_array(graph, b)

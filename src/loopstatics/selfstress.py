@@ -120,13 +120,17 @@ def _end_rows(graph: FrameGraph) -> np.ndarray:
     return np.array(ends, dtype=int).reshape(-1, 2)
 
 
-def _bar_frames(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
+def _bar_frames(
+    graph: FrameGraph, ends: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Unit direction and midpoint of every bar (e x 3 each), bit for bit
     `graph.direction` and `graph.midpoint`: the positions are gathered
     once, and each length is the square root of one scalar dot product,
-    as np.linalg.norm takes it; row-wise norms can differ in the last bit."""
+    as np.linalg.norm takes it; row-wise norms can differ in the last bit.
+    `ends` is `_end_rows(graph)`, built here when not given."""
     pos = np.array([graph.position(n) for n in graph.node_ids])
-    ends = _end_rows(graph)
+    if ends is None:
+        ends = _end_rows(graph)
     tail, head = pos[ends[:, 0]], pos[ends[:, 1]]
     d = head - tail
     lengths = np.sqrt([x.dot(x) for x in d])
@@ -142,16 +146,21 @@ def _axial_verdicts(forces, moments, units, mids, tol: float):
     A bar's force must be parallel to it, and its total moment must equal
     midpoint x force, each within tol times the largest bar force, or the
     largest max(|m|, |r| |f|), among the bars judged.  Returns
-    (force_parallel, moment_matches, axial_force); tension is positive.
+    (force_parallel, moment_matches, axial_force, zero); tension is
+    positive, and a Zero Bar is one whose force and moment are themselves
+    within those bounds.
     """
     axial = np.array([f @ u for f, u in zip(forces, units)])
     f_norm = np.linalg.norm(forces, axis=1)
     lever = np.linalg.norm(mids, axis=1) * f_norm
-    m_own = np.maximum(np.linalg.norm(moments, axis=1), lever)
+    m_norm = np.linalg.norm(moments, axis=1)
+    m_own = np.maximum(m_norm, lever)
     perp = np.linalg.norm(forces - axial[:, None] * units, axis=1)
     m_err = np.linalg.norm(moments - np.cross(mids, forces), axis=1)
-    scale_f, scale_m = f_norm.max(initial=0.0), m_own.max(initial=0.0)
-    return perp <= tol * scale_f, m_err <= tol * scale_m, axial
+    bound_f = tol * f_norm.max(initial=0.0)
+    bound_m = tol * m_own.max(initial=0.0)
+    zero = (f_norm <= bound_f) & (m_norm <= bound_m)
+    return perp <= bound_f, m_err <= bound_m, axial, zero
 
 
 def all_bar_resultants(
@@ -187,7 +196,7 @@ def check_axial(
     equals midpoint x force, i.e. its internal bending and torsion vanish.
     """
     b = _bar_array(state, basis, graph)
-    parallel, matches, axial = _axial_verdicts(b[:, :3], b[:, 3:], *_bar_frames(graph), tol)
+    parallel, matches, axial, _ = _axial_verdicts(b[:, :3], b[:, 3:], *_bar_frames(graph), tol)
     return {
         bar: AxialCheck(bar, bool(parallel[i]), bool(matches[i]), float(axial[i]))
         for i, bar in enumerate(graph.edge_ids)

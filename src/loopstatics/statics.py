@@ -68,8 +68,9 @@ class StaticsSummary:
 
 
 def equilibrium_matrix(graph: FrameGraph) -> EquilibriumMatrix:
-    units, _ = _bar_frames(graph)  # raises on coincident endpoints
-    a = _block(units, _end_rows(graph), 0, 3 * graph.v, np.arange(graph.e))
+    ends = _end_rows(graph)
+    units, _ = _bar_frames(graph, ends)  # raises on coincident endpoints
+    a = _block(units, ends, 0, 3 * graph.v, np.arange(graph.e))
     return EquilibriumMatrix(matrix=a, node_ids=graph.node_ids, edge_ids=graph.edge_ids)
 
 
@@ -113,7 +114,16 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
         raise StructureError(
             "statics need at least 3 nodes not on one line: the counts take 6 rigid-body motions"
         )
-    a = equilibrium_matrix(graph).matrix
+    ends = _end_rows(graph)
+    units, _ = _bar_frames(graph, ends)  # raises on coincident endpoints
+    rows = 3 * graph.v
+    a = _block(units, ends, 0, rows, np.arange(graph.e))
+    # The frames live on through the SVD into the basis steps.  Copies made
+    # now, with A allocated, keep clear of the freed heap that, in a process
+    # that runs the statics again and again, takes the SVD's copy of A and
+    # its work buffer; with the first arrays kept, the benchmark's
+    # lattice-axial worker peaked at ~82 MB instead of ~70 MB on 3 of 5 seeds.
+    units, ends = units.copy(), ends.copy()
     if a.size > _EXACT_SVD_SIZE:
         sigma = np.linalg.svd(a, compute_uv=False)
     else:
@@ -124,10 +134,10 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     del a
     rank = int(np.sum(sigma > cut))
     s = graph.e - rank
-    null = _force_method_basis(graph, cut, s) if s else np.zeros((0, graph.e))
+    null = _force_method_basis(units, ends, rows, cut, s) if s else np.zeros((0, graph.e))
     return StaticsSummary(
         s=s,
-        m=3 * graph.v - 6 - rank,
+        m=rows - 6 - rank,
         rank=rank,
         sigma_min=float(sigma[rank - 1]) if rank > 0 else None,
         singular_values=sigma,
@@ -150,26 +160,27 @@ _BLOCK = 64
 _ROWS = 192
 
 
-def _force_method_basis(graph: FrameGraph, cut: float, s: int) -> np.ndarray:
+def _force_method_basis(units: np.ndarray, ends: np.ndarray, m: int, cut: float,
+                        s: int) -> np.ndarray:
     """The s x e orthonormalized reduced form of the null space of the
-    graph's equilibrium matrix A; `cut` is the rank cut that a column's
-    scaled residual must exceed.  N^T is I on the redundant rows F and
-    -solve @ A[:, F] on the basic rows.
+    m-row equilibrium matrix A of bars with these unit vectors and end
+    nodes; `cut` is the rank cut that a column's scaled residual must
+    exceed.  N^T is I on the redundant rows F and -solve @ A[:, F] on the
+    basic rows.
 
     At once it holds solve (basic bars x 3v), N^T (e x s) and, for the
     correction, A @ v (3v x s); the products with solve, the blocks of A
     and the orthonormalization's work are 64 columns wide."""
-    units, _ = _bar_frames(graph)
-    ends, m = _end_rows(graph), 3 * graph.v
     solve, redundant = _redundant_bars(units, ends, m, cut)
     if redundant.size != s:
         raise StructureError(
             f"rank cut is ambiguous at this tolerance: the singular values give "
             f"s = {s}, but {redundant.size} bars depend on the bars before them"
         )
-    basic = np.ones(graph.e, dtype=bool)
+    e = units.shape[0]
+    basic = np.ones(e, dtype=bool)
     basic[redundant] = False
-    v = np.zeros((graph.e, s))  # N^T
+    v = np.zeros((e, s))  # N^T
     v[redundant, np.arange(s)] = 1.0
     for j in range(0, s, _BLOCK):
         cols = slice(j, j + _BLOCK)

@@ -1,11 +1,12 @@
 """Construction of explicit dual-loop geometry for prescribed resultants.
 
-Any six-component resultant can be realized as a formal sum of up to six
-axis-aligned rectangles (disconnected sums are legitimate loop elements).
-Axial resultants get a nicer realization: a single flat triangle normal to
-the bar with area equal to the force magnitude, its vertex h-coordinates
-chosen to reproduce the moment.  Zero Bars are realized by bow-tie loops
-of identically zero oriented area.
+Every resultant is realized as one closed loop.  An axial resultant is a
+flat triangle normal to the bar with area equal to the force magnitude,
+its vertex h-coordinates chosen to reproduce the moment.  Any other
+resultant is the loop of its bivector's normal form: two triangles in
+orthogonal planes through one anchor, or a single triangle when the
+bivector is simple.  Zero Bars carry no loop in an export; `zero_bar_loop`
+gives the bow-tie of identically zero oriented area that draws one.
 """
 
 from __future__ import annotations
@@ -13,29 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructureError
-from .wedge import LoopPath, Point4
+from .wedge import _PLANES, LoopPath, Point4
 
 _ORIGIN4 = Point4(0.0, 0.0, 0.0, 0.0)
-
-# Each component's rectangle lies in the plane of (axis for the signed side,
-# axis for the unit side), indices into (x, y, z, h), in the component order
-# of Bivector6: jk, ki, ij, ih, jh, kh.
-_RECT_AXES = ((1, 2), (2, 0), (0, 1), (0, 3), (1, 3), (2, 3))
-_SIDE_A = np.eye(4)[[a for a, _ in _RECT_AXES]]
-_SIDE_B = np.eye(4)[[b for _, b in _RECT_AXES]]
 
 # The triangle's corners, each angle's cosine and sine taken on its own as a
 # numpy scalar, so the corners keep their bits whatever the batch size.
 _TURNS = [(np.cos(a), np.sin(a)) for a in 2.0 * np.pi * np.arange(3) / 3.0]
 
-
-def _rectangles(anchors: np.ndarray, areas: np.ndarray) -> np.ndarray:
-    """Corner rows (k, 6, 4, 4) of one rectangle per component for k anchors
-    (k x 4) and k x 6 signed areas: a corner at the anchor, sides `area` and
-    1.  Zero-area rectangles are included; callers drop them."""
-    base = anchors[:, None, :]
-    side = base + areas[:, :, None] * _SIDE_A
-    return np.stack(np.broadcast_arrays(base, side, side + _SIDE_B, base + _SIDE_B), axis=2)
+# A bivector is simple when its second plane's weight is at most this share
+# of its first's: the rounding of the normal form, not a second plane.
+_SIMPLE = 64 * np.finfo(float).eps
+_A, _B = np.array(_PLANES).T
 
 
 def _in_plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,6 +65,51 @@ def _triangles(mids, forces, moments, f_norms) -> np.ndarray:
                            np.reshape(h, (-1, 3, 1))], axis=2)
 
 
+def _normal_form_loops(anchors: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex rows (k, 6, 4) of one closed loop for each of k nonzero
+    bivector rows (k x 6, in Bivector6 order) through k x 4 anchors, and
+    which bivectors are simple, so that their loop is its first 3 rows.
+
+    A 4D bivector has the normal form B = l1 e1^f1 + l2 e2^f2, with
+    (e1, f1, e2, f2) orthonormal and l1 >= l2 >= 0, and the triangle
+    (p, p + a e, p + a f) has area (a^2 / 2) e^f.  So the loop
+    (p, p + a1 e1, p + a1 f1, p, p + a2 e2, p + a2 f2) with a_i^2 / 2 = l_i
+    has area B.  For M the skew matrix of B, e1 is the top eigenvector of
+    M^T M and f1 = -M e1 / l1; e2 is taken orthogonal to (e1, f1)
+    explicitly, so that l1 = l2 needs no care, and f2 comes from M less
+    its first term.  Each row's bits do not depend on the other rows."""
+    scale = np.abs(rows).max(axis=1)  # keeps M^T M clear of overflow and underflow
+    m = np.zeros((len(rows), 4, 4))
+    m[:, _A, _B] = rows / scale[:, None]
+    m[:, _B, _A] = -m[:, _A, _B]
+    gram = (m[:, :, :, None] * m[:, :, None, :]).sum(axis=1)
+    e1 = np.linalg.eigh(gram)[1][:, :, 3]
+    l1, f1 = _turned(m, e1)
+    m -= l1[:, None, None] * (_outer(e1, f1) - _outer(f1, e1))
+    rest = np.eye(4) - _outer(e1, e1) - _outer(f1, f1)  # projects onto the second plane
+    column = rest.diagonal(axis1=1, axis2=2).argmax(axis=1)
+    e2 = rest[np.arange(len(rest)), :, column]
+    e2 /= np.sqrt((e2 * e2).sum(axis=1))[:, None]
+    l2, f2 = _turned(m, e2)
+    a1, a2 = (np.sqrt(2.0 * scale * weight)[:, None] for weight in (l1, l2))
+    p = anchors
+    loops = np.stack([p, p + a1 * e1, p + a1 * f1, p, p + a2 * e2, p + a2 * f2], axis=1)
+    return loops, l2 <= _SIMPLE * l1
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, :, None] * y[:, None, :]
+
+
+def _turned(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|M e| and the unit vector -M e / |M e|, zero where M e is, for k
+    skew matrices M and k unit vectors e."""
+    me = (m * e[:, None, :]).sum(axis=2)
+    length = np.sqrt((me * me).sum(axis=1))
+    return length, np.divide(-me, length[:, None], out=np.zeros_like(me),
+                             where=length[:, None] > 0.0)
+
+
 def zero_bar_loop(normal, anchor: Point4 = _ORIGIN4, size: float = 1.0) -> LoopPath:
     """Bow-tie quadrilateral in the plane of the given unit normal whose two
     lobes cancel: every projected area is zero."""
@@ -91,49 +126,3 @@ def zero_bar_loop(normal, anchor: Point4 = _ORIGIN4, size: float = 1.0) -> LoopP
         p[:3] += arm
         verts.append(Point4.from_array(p))
     return LoopPath(tuple(verts))
-
-
-def _merge_rows(loops: list) -> list:
-    """Splice loops that share a vertex into connected loops of the same
-    summed area, for loops given as lists of (x, y, z, h) tuples, all with
-    coefficient +1; tuples compare and hash as Point4 does."""
-    pending = list(loops)
-    merged = []
-    while pending:
-        current = pending.pop(0)
-        changed = True
-        while changed:
-            changed = False
-            for other in list(pending):
-                shared = _shared_vertex(current, other)
-                if shared is None:
-                    continue
-                i, j = shared
-                # rotate both so the shared vertex is first, then splice
-                cur = current[i:] + current[:i]
-                oth = other[j:] + other[:j]
-                current = cur + oth
-                pending.remove(other)
-                changed = True
-                break
-        merged.append(current)
-    cleaned = (_drop_consecutive_duplicates(verts) for verts in merged)
-    return [verts for verts in cleaned if len(verts) >= 3]
-
-
-def _shared_vertex(a: list, b: list) -> tuple[int, int] | None:
-    index = {v: i for i, v in enumerate(a)}
-    for j, v in enumerate(b):
-        if v in index:
-            return index[v], j
-    return None
-
-
-def _drop_consecutive_duplicates(verts: list) -> list:
-    out = []
-    for v in verts:
-        if not out or v != out[-1]:
-            out.append(v)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out

@@ -8,18 +8,17 @@ from loopstatics import (
     ZERO_BIVECTOR,
     BarResultant,
     Bivector6,
-    DualChain,
     FrameGraph,
     LoopPath,
     Point4,
     SelfStressState,
-    chain_area,
     equilibrium_matrix,
+    loop_area,
     prism_frame,
 )
 from loopstatics.selfstress import _axial_verdicts, _bar_array, _bar_frames
-from loopstatics.synthesis import _rectangles
 from loopstatics.statics import _BLOCK, _column_sq, _select_in_order
+from loopstatics.synthesis import _normal_form_loops
 
 
 def int_k5() -> FrameGraph:
@@ -129,41 +128,54 @@ def loop_of(rows) -> LoopPath:
     return LoopPath(tuple(Point4(*v) for v in rows))
 
 
-def item_area(loops) -> Bivector6:
-    """The summed area of a RealizedDiagram item's loops."""
-    return chain_area(DualChain(tuple((1, loop_of(rows)) for rows in loops)))
+def item_area(rows) -> Bivector6:
+    """The area of a RealizedDiagram item's loop."""
+    return loop_area(loop_of(rows))
 
 
-def rectangle_chain(target: Bivector6, anchor=(0.0, 0.0, 0.0, 0.0)) -> DualChain:
-    """The chain of `synthesis._rectangles` for a target: one rectangle per
-    nonzero component, a corner at the anchor."""
-    areas = target.components()
-    corners = _rectangles(np.array([anchor], dtype=float), areas[None])[0]
-    return DualChain(tuple((1, loop_of(c)) for c, area in zip(corners, areas) if area != 0.0))
+def normal_form_loop(target: Bivector6, anchor=(0.0, 0.0, 0.0, 0.0)) -> LoopPath:
+    """The loop of `synthesis._normal_form_loops` for one nonzero target:
+    3 vertices when the target is simple, else 6."""
+    loops, simple = _normal_form_loops(np.array([anchor], dtype=float),
+                                       target.components()[None])
+    return loop_of(loops[0, :3] if simple[0] else loops[0])
 
 
 # -- reference realization: the object-based, one-loop-at-a-time code that
 # the array path in synthesis and diagrams must reproduce bit for bit --
 
-_REF_RECT_AXES = ((1, 2), (2, 0), (0, 1), (0, 3), (1, 3), (2, 3))  # jk ki ij ih jh kh
+_REF_PLANES = ((1, 2), (2, 0), (0, 1), (0, 3), (1, 3), (2, 3))  # jk ki ij ih jh kh
 
 
-def ref_rectangle(anchor: Point4, axis_a: int, axis_b: int, area: float) -> LoopPath:
-    base = anchor.to_array()
-    ea = np.zeros(4)
-    eb = np.zeros(4)
-    ea[axis_a] = 1.0
-    eb[axis_b] = 1.0
-    corners = (base, base + area * ea, base + area * ea + eb, base + eb)
-    return LoopPath(tuple(Point4.from_array(c) for c in corners))
+def _ref_turned(m: np.ndarray, e: np.ndarray):
+    me = (m * e).sum(axis=1)
+    length = np.sqrt((me * me).sum())
+    return length, (-me / length if length > 0.0 else np.zeros(4))
 
 
-def ref_synthesize_chain(target: Bivector6, anchor: Point4 = Point4(0.0, 0.0, 0.0, 0.0)):
-    terms = []
-    for comp, (axis_a, axis_b) in zip(target.components(), _REF_RECT_AXES):
-        if comp != 0.0:
-            terms.append((1, ref_rectangle(anchor, axis_a, axis_b, comp)))
-    return DualChain(tuple(terms))
+def ref_normal_form_loop(row, anchor=(0.0, 0.0, 0.0, 0.0)) -> LoopPath:
+    """The loop of one nonzero bivector row (Bivector6 order) through an
+    anchor, from its normal form l1 e1^f1 + l2 e2^f2: the triangle
+    (p, p + a1 e1, p + a1 f1), then (p, p + a2 e2, p + a2 f2) unless the
+    bivector is simple, with a_i^2 / 2 = l_i."""
+    row = np.asarray(row, dtype=float)
+    scale = np.abs(row).max()
+    m = np.zeros((4, 4))
+    for (a, b), x in zip(_REF_PLANES, row / scale):
+        m[a, b], m[b, a] = x, -x
+    e1 = np.linalg.eigh((m[:, :, None] * m[:, None, :]).sum(axis=0))[1][:, 3]
+    l1, f1 = _ref_turned(m, e1)
+    m = m - l1 * (np.outer(e1, f1) - np.outer(f1, e1))
+    rest = np.eye(4) - np.outer(e1, e1) - np.outer(f1, f1)
+    e2 = rest[:, np.argmax(np.diagonal(rest))]
+    e2 = e2 / np.sqrt((e2 * e2).sum())
+    l2, f2 = _ref_turned(m, e2)
+    p = np.asarray(anchor, dtype=float)
+    a1, a2 = np.sqrt(2.0 * scale * l1), np.sqrt(2.0 * scale * l2)
+    verts = [p, p + a1 * e1, p + a1 * f1]
+    if l2 > 64 * np.finfo(float).eps * l1:
+        verts += [p, p + a2 * e2, p + a2 * f2]
+    return LoopPath(tuple(Point4(*v) for v in verts))
 
 
 def ref_in_plane_frame(normal: np.ndarray):
@@ -180,8 +192,6 @@ def ref_in_plane_frame(normal: np.ndarray):
 
 def ref_axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray):
     f_norm = float(np.linalg.norm(f))
-    if f_norm == 0.0:
-        return ref_synthesize_chain(Bivector6.from_force_moment(f, m))
     n = f / f_norm
     t1, t2 = ref_in_plane_frame(n)
     radius = float(np.sqrt(4.0 * f_norm / (3.0 * np.sqrt(3.0))))
@@ -193,85 +203,34 @@ def ref_axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray):
     return LoopPath(tuple(Point4(p[0], p[1], p[2], hv) for p, hv in zip(spatial, h)))
 
 
-def ref_merge_chain(chain: DualChain) -> DualChain:
-    pending = []
-    for coeff, loop in chain.terms:
-        verts = list(loop.vertices if coeff > 0 else loop.reversed().vertices)
-        pending.extend([list(verts)] * abs(coeff))
-    merged = []
-    while pending:
-        current = pending.pop(0)
-        changed = True
-        while changed:
-            changed = False
-            for other in list(pending):
-                index = {v: i for i, v in enumerate(current)}
-                shared = next(((index[v], j) for j, v in enumerate(other) if v in index), None)
-                if shared is None:
-                    continue
-                i, j = shared
-                current = current[i:] + current[:i] + other[j:] + other[:j]
-                pending.remove(other)
-                changed = True
-                break
-        merged.append(current)
-    terms = []
-    for verts in merged:
-        out = []
-        for v in verts:
-            if not out or v != out[-1]:
-                out.append(v)
-        while len(out) > 1 and out[0] == out[-1]:
-            out.pop()
-        if len(out) >= 3:
-            terms.append((1, LoopPath(tuple(out))))
-    return DualChain(tuple(terms))
-
-
-def _ref_translate_to_center(realized):
-    def shift_for(loop):
-        return Point4.from_array(np.zeros(4) - loop.vertices[0].to_array())
-
-    if isinstance(realized, LoopPath):
-        return realized.translated(shift_for(realized))
-    if not realized.terms:
-        return realized
-    delta = shift_for(realized.terms[0][1])
-    return DualChain(tuple((c, lp.translated(delta)) for c, lp in realized.terms))
-
-
-def ref_realize_loops(graph, basis, state, per="bar", tol=1e-9, share_vertex=False,
-                      merge=False):
-    """(loops, fallbacks) as realize_state built them one loop at a time."""
+def ref_realize_loops(graph, basis, state, per="bar", tol=1e-9, share_vertex=False):
+    """(name, LoopPath) pairs as realize_state builds them, one loop at a
+    time."""
     b = _bar_array(state, basis, graph)
     units, mids = _bar_frames(graph)
-    parallel, matches, _ = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
+    parallel, matches, _, zero = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
     if per == "bar":
         items = [(f"bar_{bar}", i) for i, bar in enumerate(graph.edge_ids)]
     else:
         col = {bar: i for i, bar in enumerate(graph.edge_ids)}
         items = [(f"cycle_{c.generator}", col[c.generator]) for c in basis]
-    loops, fallbacks = [], []
+    loops = []
     for name, i in items:
-        if not b[i].any():
+        if zero[i]:
             continue
         if parallel[i] and matches[i]:
-            realized = ref_axial_loop(mids[i], b[i, :3], b[i, 3:])
+            loop = ref_axial_loop(mids[i], b[i, :3], b[i, 3:])
         else:
-            realized = ref_synthesize_chain(Bivector6(*b[i]), Point4(*mids[i], 0.0))
-        if isinstance(realized, DualChain):
-            fallbacks.append(name)
-            if merge:
-                realized = ref_merge_chain(realized)
+            loop = ref_normal_form_loop(b[i], (*mids[i], 0.0))
         if share_vertex:
-            realized = _ref_translate_to_center(realized)
-        loops.append((name, realized))
-    return tuple(loops), tuple(fallbacks)
+            loop = loop.translated(Point4.from_array(np.zeros(4) - loop.vertices[0].to_array()))
+        loops.append((name, loop))
+    return tuple(loops)
 
 
 class RefMeshWriter:
     def __init__(self):
-        self.lines = ["# loopstatics mesh 1"]
+        self.lines = ["# loopstatics mesh 2"]
         self.vertex_count = 0
 
     def add_object(self, name, vertices, polylines):
@@ -290,21 +249,9 @@ class RefMeshWriter:
 
 def ref_force_diagram_text(loops) -> str:
     writer = RefMeshWriter()
-
-    def add(name, loop):
+    for name, loop in loops:
         n = len(loop.vertices)
         writer.add_object(name, list(loop.vertices), [list(range(n)) + [0]])
-
-    for name, realized in loops:
-        if isinstance(realized, LoopPath):
-            add(name, realized)
-        else:
-            term_no = 0
-            for coeff, loop in realized.terms:
-                oriented = loop if coeff > 0 else loop.reversed()
-                for _ in range(abs(coeff)):
-                    add(f"{name}_part{term_no}", oriented)
-                    term_no += 1
     return writer.text()
 
 

@@ -34,11 +34,11 @@ from loopstatics.wedge import Point4
 
 from helpers import (
     item_area,
+    normal_form_loop,
     random_connected_graph,
     random_loop,
     random_planar_loop,
     random_state,
-    rectangle_chain,
 )
 
 
@@ -117,15 +117,15 @@ def test_criterion_3_prism_tensegrity():
         failures.append("null vector is not 3 bars of one sign vs 9 of the other")
     state = axial_to_state(g, basis, q)
     resultants = all_bar_resultants(state, basis, g)
-    items = {name: (chain, loops) for name, chain, loops in realize_state(g, basis, state).items}
-    if any(chain for chain, _ in items.values()) or len(items) != g.e:
+    items = dict(realize_state(g, basis, state).items)
+    if any(len(rows) != 3 for rows in items.values()) or len(items) != g.e:
         failures.append("export --axial does not draw one triangle per bar")
     scale = max(np.linalg.norm(resultants[e].force) for e in g.edge_ids)
     for node in g.node_ids:
         closure = np.zeros(3)
         for e in g.incident_edges(node):
             sign = 1 if g.ends(e)[1] == node else -1  # +1 into the node
-            closure += sign * force_of(item_area(items[f"bar_{e}"][1]))
+            closure += sign * force_of(item_area(items[f"bar_{e}"]))
         rel = np.linalg.norm(closure) / scale
         if rel >= 1e-10:
             failures.append(f"node {node}: oriented-area closure {rel:.2e} >= 1e-10")
@@ -214,8 +214,8 @@ def test_criterion_6_geometry_properties():
 
     for trial in range(1000):
         target = Bivector6(*rng.normal(size=6))
-        chain = rectangle_chain(target, rng.uniform(-5.0, 5.0, size=4))
-        err = (chain_area(chain) - target).norm()
+        loop = normal_form_loop(target, rng.uniform(-5.0, 5.0, size=4))
+        err = (loop_area(loop) - target).norm()
         if err > 1e-12 * target.norm():
             failures.append(f"synthesis trial {trial}: error {err:.2e}")
 

@@ -17,9 +17,12 @@ from loopstatics import (
     SelfStressState,
     StateError,
     StructureError,
+    analyze_statics,
+    axial_to_state,
     document_from_graph,
     fundamental_cycles,
     k5_frame,
+    load_structure,
     parse_state,
     parse_structure,
     serialize_state,
@@ -80,11 +83,36 @@ class TestNoiseForceBars:
         assert all(row["is_axial"] for row in report["axial_check"])
 
     def test_axial_export_draws_one_triangle_per_bar(self, pendant_path, tmp_path):
+        """One triangle per loaded bar: the pendant's three noise bars are
+        Zero Bars and get none."""
         code, out, err = run("export", pendant_path, "--axial", "--out-dir", tmp_path / "d")
-        assert code == 0, err
-        assert "note:" not in err
+        assert (code, err) == (0, "")
         text = (tmp_path / "d" / "force.obj").read_text()
-        assert text.count("\no bar_") == 13
+        assert text.count("\no bar_") == 10
+        assert "\no bar_p" not in text
+        assert text.count("\nv ") == 30
+
+    def test_noise_bar_mesh_does_not_follow_its_last_bits(self, pendant_path, tmp_path):
+        """The pendant's axial state twice: once with a noise bar's loop
+        carrying a force of 1.1e-18 along its bar, once with exactly 0.
+        Either way the bar is a Zero Bar, so the meshes are the same bytes."""
+        _, g = load_structure(pendant_path.read_text())
+        basis = fundamental_cycles(g)
+        state = axial_to_state(g, basis, analyze_statics(g).axial_vector(0))
+        noise = next(c.generator for c in basis if c.generator.startswith("p"))
+        force = 1.1e-18 * g.direction(noise)
+        meshes = []
+        for row in (Bivector6.from_force_moment(force, np.cross(g.midpoint(noise), force)),
+                    Bivector6()):
+            path = tmp_path / f"state{len(meshes)}.json"
+            path.write_text(serialize_state(SelfStressState({**state.resultants, noise: row})))
+            out_dir = tmp_path / f"d{len(meshes)}"
+            code, _, err = run("export", pendant_path, "--state", path, "--loops", "cycles",
+                               "--out-dir", out_dir)
+            assert (code, err) == (0, "")
+            meshes.append((out_dir / "force.obj").read_bytes())
+        assert meshes[0] == meshes[1]
+        assert f"o cycle_{noise}\n".encode() not in meshes[0]
 
 
 class TestNonFiniteNumbers:

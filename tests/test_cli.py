@@ -158,9 +158,9 @@ class TestExport:
         assert (out_dir / "force.obj").exists()
         assert (out_dir / "force.obj").read_text().count("o cycle_") == 6
 
-    def test_forceless_axial_loop_note_names_the_cause(self, capsys, tmp_path, k5_path):
-        """A loop that passes the axial test with zero force is drawn as
-        rectangles; its note must not call it not axial."""
+    def test_forceless_axial_loop_is_a_zero_bar(self, capsys, tmp_path, k5_path):
+        """A loop that passes the axial test with zero force and a moment
+        within tolerance is a Zero Bar: it gets no loop, and no note."""
         g = k5_frame()
         basis = fundamental_cycles(g)
         state = axial_to_state(g, basis, axial_selfstress_basis(g)[0])
@@ -173,8 +173,9 @@ class TestExport:
         assert code == 0 and "axial check o01: pass" in out
         code, _, err = run(capsys, "export", str(k5_path), "--state", str(state_path),
                            "--loops", "cycles", "--out-dir", str(tmp_path / "d"))
-        assert code == 0
-        assert err == "note: cycle_o01 carries no force; exported as a rectangle chain\n"
+        assert (code, err) == (0, "")
+        text = (tmp_path / "d" / "force.obj").read_text()
+        assert text.count("\no cycle_") == 5 and "o cycle_o01\n" not in text
 
     def test_untwisted_prism_has_nothing_to_export(self, capsys, tmp_path):
         prism_path = tmp_path / "prism.json"
@@ -212,22 +213,27 @@ class TestIntegerIds:
 
 class TestMergedStateExport:
     def test_welded_state_exports_merged_chains(self, capsys, tmp_path, k5_path):
+        """Every resultant is one connected loop, so `--merge-loops` has
+        nothing to splice: it is accepted and changes no byte."""
         basis = fundamental_cycles(k5_frame())
         state = SelfStressState(
             {c.generator: Bivector6(jk=1.0, kh=2.0) for c in basis}
         )
         state_path = tmp_path / "state.json"
         state_path.write_text(serialize_state(state))
-        out_dir = tmp_path / "diag"
-        code, _, err = run(
-            capsys, "export", str(k5_path), "--state", str(state_path),
-            "--loops", "cycles", "--merge-loops", "--out-dir", str(out_dir),
-        )
-        assert code == 0
-        assert "rectangle chain" in err  # fallbacks reported
-        text = (out_dir / "force.obj").read_text()
-        # merged: exactly one polyline object per basis cycle
-        assert text.count("o cycle_") == 6
+        texts = []
+        for flags in (["--merge-loops"], []):
+            out_dir = tmp_path / f"diag{len(texts)}"
+            code, _, err = run(
+                capsys, "export", str(k5_path), "--state", str(state_path),
+                "--loops", "cycles", *flags, "--out-dir", str(out_dir),
+            )
+            assert (code, err) == (0, "")
+            texts.append((out_dir / "force.obj").read_text())
+        assert texts[0] == texts[1]
+        # exactly one polyline object per basis cycle
+        assert texts[0].startswith("# loopstatics mesh 2\n")
+        assert texts[0].count("o cycle_") == 6 and "_part" not in texts[0]
 
 
 class TestErrors:

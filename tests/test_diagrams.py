@@ -91,10 +91,9 @@ class TestRealizeState:
         g, basis, state = k5_axial
         realized = realize_state(g, basis, state, per="cycle", share_vertex=True)
         assert len(realized) == 6
-        assert realized.fallbacks == ()
-        for _, chain, loops in realized.items:
-            assert not chain and len(loops) == 1 and len(loops[0]) == 3
-            assert loops[0][0] == (0.0, 0.0, 0.0, 0.0)
+        for _, rows in realized.items:
+            assert len(rows) == 3
+            assert rows[0] == (0.0, 0.0, 0.0, 0.0)
 
     def test_prism_per_bar_gives_twelve_triangles(self):
         g = prism_frame(twist=prism_critical_twist())
@@ -102,15 +101,12 @@ class TestRealizeState:
         state = axial_to_state(g, basis, axial_selfstress_basis(g)[0])
         realized = realize_state(g, basis, state, per="bar")
         assert len(realized) == 12
-        assert all(
-            not chain and len(loops) == 1 and len(loops[0]) == 3
-            for _, chain, loops in realized.items
-        )
+        assert all(len(rows) == 3 for _, rows in realized.items)
 
     def test_loops_reproduce_the_bar_resultants(self, k5_axial):
         g, basis, state = k5_axial
         resultants = all_bar_resultants(state, basis, g)
-        realized = {name: loops for name, _, loops in realize_state(g, basis, state).items}
+        realized = dict(realize_state(g, basis, state).items)
         for e in g.edge_ids:
             b = item_area(realized[f"bar_{e}"])
             assert np.allclose(
@@ -121,36 +117,31 @@ class TestRealizeState:
         g, basis, state = k5_axial
         plain = realize_state(g, basis, state, per="cycle").items
         shared = realize_state(g, basis, state, per="cycle", share_vertex=True).items
-        for (name, _, loops), (shared_name, _, shared_loops) in zip(plain, shared, strict=True):
+        for (name, rows), (shared_name, shared_rows) in zip(plain, shared, strict=True):
             assert name == shared_name
             assert np.allclose(
-                item_area(loops).components(),
-                item_area(shared_loops).components(),
+                item_area(rows).components(),
+                item_area(shared_rows).components(),
                 atol=1e-12,
             )
 
-    def test_welded_state_falls_back_to_rectangles(self):
+    def test_welded_state_is_one_six_vertex_loop_per_cycle(self):
+        """A general state's resultants are not simple, so each is two
+        triangles in orthogonal planes through the bar's midpoint."""
         g = k5_frame()
         basis = fundamental_cycles(g)
         state = random_state(np.random.default_rng(31), basis)
         realized = realize_state(g, basis, state, per="cycle")
-        assert len(realized.fallbacks) > 0
+        assert len(realized) == len(basis)
         resultant_of = {c.generator: state.resultant(c.generator) for c in basis}
-        for name, _, loops in realized.items:
+        for name, rows in realized.items:
             cid = name.removeprefix("cycle_")
+            assert len(rows) == 6 and rows[0] == rows[3] == (*g.midpoint(cid), 0.0)
             assert np.allclose(
-                item_area(loops).components(),
+                item_area(rows).components(),
                 resultant_of[cid].components(),
                 atol=1e-10,
             )
-
-    def test_merge_makes_chains_connected(self):
-        g = k5_frame()
-        basis = fundamental_cycles(g)
-        state = random_state(np.random.default_rng(32), basis)
-        realized = realize_state(g, basis, state, per="cycle", merge=True)
-        for _, _, loops in realized.items:
-            assert len(loops) == 1
 
 
 class TestExport:
@@ -203,7 +194,7 @@ def _frame(kind: str):
 
 def _mixed_state(rng, g, basis, kind: str) -> SelfStressState:
     """A general state, an axial one, an axial one with some loops
-    replaced (so triangles and rectangle chains mix), or a general one with
+    replaced (so triangles and normal-form loops mix), or a general one with
     zero and negative-zero components."""
     if kind in ("general", "zeros"):
         state = random_state(rng, basis)
@@ -229,11 +220,9 @@ def _mixed_state(rng, g, basis, kind: str) -> SelfStressState:
 
 def assert_realizations_agree(g, basis, state, **options):
     realized = realize_state(g, basis, state, **options)
-    ref_loops, ref_fallbacks = ref_realize_loops(g, basis, state, **options)
     text = force_diagram_text(realized)
-    assert text == ref_force_diagram_text(ref_loops)
+    assert text == ref_force_diagram_text(ref_realize_loops(g, basis, state, **options))
     assert "np.float64(" not in text
-    assert realized.fallbacks == ref_fallbacks
     return realized
 
 
@@ -242,14 +231,13 @@ def assert_realizations_agree(g, basis, state, **options):
        kind=st.sampled_from(["k5", "prism", "lattice2", "lattice3"]),
        state_kind=st.sampled_from(["general", "axial", "mixed", "zeros"]),
        per=st.sampled_from(["bar", "cycle"]),
-       share_vertex=st.booleans(), merge=st.booleans())
+       share_vertex=st.booleans())
 def test_array_realization_is_the_reference_bit_for_bit(
-        seed, kind, state_kind, per, share_vertex, merge):
+        seed, kind, state_kind, per, share_vertex):
     g = _frame(kind)
     basis = fundamental_cycles(g)
     state = _mixed_state(np.random.default_rng(seed), g, basis, state_kind)
-    assert_realizations_agree(g, basis, state, per=per, share_vertex=share_vertex,
-                              merge=merge)
+    assert_realizations_agree(g, basis, state, per=per, share_vertex=share_vertex)
 
 
 def _k5_axial_state():
@@ -258,21 +246,20 @@ def _k5_axial_state():
     return g, basis, axial_to_state(g, basis, axial_selfstress_basis(g)[0])
 
 
-@pytest.mark.parametrize("merge", [False, True])
 @pytest.mark.parametrize("share_vertex", [False, True])
-def test_axial_loops_without_a_force_norm_become_rectangles_about_the_origin(
-        share_vertex, merge):
+def test_axial_loops_without_a_force_norm_are_zero_bars(share_vertex):
     """Per cycle on K5's axial state, one loop given no force and a moment
-    small enough to pass, another a force whose squared norm underflows."""
+    small enough to pass, another a force whose squared norm underflows:
+    both are Zero Bars, so they get no loop and the rest are triangles."""
     g, basis, state = _k5_axial_state()
     resultants = dict(state.resultants)
     first, second = (c.generator for c in basis[:2])
     resultants[first] = Bivector6(0.0, 0.0, 0.0, 1e-13, -2e-13, 0.0)
     resultants[second] = Bivector6(1e-200, 0.0, 0.0, 0.0, 0.0, 0.0)
     realized = assert_realizations_agree(
-        g, basis, SelfStressState(resultants), per="cycle",
-        share_vertex=share_vertex, merge=merge)
-    assert realized.fallbacks == (f"cycle_{first}", f"cycle_{second}")
+        g, basis, SelfStressState(resultants), per="cycle", share_vertex=share_vertex)
+    assert [name for name, _ in realized.items] == [f"cycle_{c.generator}" for c in basis[2:]]
+    assert all(len(rows) == 3 for _, rows in realized.items)
 
 
 def test_cli_export_builds_no_loop_objects(tmp_path, monkeypatch):
@@ -285,7 +272,6 @@ def test_cli_export_builds_no_loop_objects(tmp_path, monkeypatch):
     (tmp_path / "st.json").write_text(serialize_state(state))
     runs = {
         "bars": ([], {}),
-        "merged": (["--merge-loops"], {"merge": True}),
         "shared": (["--loops", "cycles", "--share-vertex"],
                    {"per": "cycle", "share_vertex": True}),
     }
@@ -301,5 +287,5 @@ def test_cli_export_builds_no_loop_objects(tmp_path, monkeypatch):
     assert made == []
     monkeypatch.undo()
     for name, (_, options) in runs.items():
-        ref_loops, _ = ref_realize_loops(g, basis, state, **options)
+        ref_loops = ref_realize_loops(g, basis, state, **options)
         assert (tmp_path / name / "force.obj").read_text() == ref_force_diagram_text(ref_loops)

@@ -431,6 +431,20 @@ class TestNullBasis:
             assert [q[e] for e in g.edge_ids] == row.tolist()
         assert summary.axial_vector(3).forces == vectors[3].forces
 
+    def test_bar_frames_are_built_once(self, monkeypatch):
+        """analyze_statics builds every bar's unit vector and end rows once,
+        for the SVD's matrix and the basis steps both."""
+        import loopstatics.statics as statics
+
+        calls = []
+        for name in ("_bar_frames", "_end_rows"):
+            original = getattr(statics, name)
+            monkeypatch.setattr(statics, name, lambda *args, f=original, n=name:
+                                calls.append(n) or f(*args))
+        summary = analyze_statics(lattice_graph(np.random.default_rng(16), 3))
+        assert summary.s == 15
+        assert sorted(calls) == ["_bar_frames", "_end_rows"]
+
     def test_no_bars_gives_an_empty_basis(self):
         """A connected frame without bars is one node, which has no rigid-body
         count of 6 (it gave m = -3) and is rejected.  The fewest bars with

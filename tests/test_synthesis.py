@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loopstatics import (
     Bivector6,
@@ -23,9 +25,15 @@ from loopstatics import (
     realize_state,
     zero_bar_loop,
 )
-from loopstatics.synthesis import _merge_rows, _triangles
+from loopstatics.synthesis import _normal_form_loops, _triangles
 
-from helpers import item_area, loop_of, random_state, rectangle_chain, ref_merge_chain
+from helpers import (
+    item_area,
+    loop_of,
+    normal_form_loop,
+    random_state,
+    ref_normal_form_loop,
+)
 
 
 def triangle(mid, force, moment):
@@ -36,50 +44,111 @@ def triangle(mid, force, moment):
                               np.array([np.linalg.norm(f)]))[0])
 
 
-def rectangle_rows(target: Bivector6, anchor=(0.0, 0.0, 0.0, 0.0)) -> list:
-    """The loops of `rectangle_chain`, as lists of vertex rows."""
-    return [[(v.x, v.y, v.z, v.h) for v in loop.vertices]
-            for _, loop in rectangle_chain(target, anchor).terms]
+def rel_err(loop, target: Bivector6) -> float:
+    return (loop_area(loop) - target).norm() / target.norm()
 
 
 class TestSynthesizeChain:
-    def test_single_component_is_one_rectangle(self):
-        chain = rectangle_chain(Bivector6(ij=2.0))
-        assert len(chain) == 1
-        area = chain_area(chain)
-        assert area.ij == 2.0 and area.norm() == 2.0
-        # a 2 x 1 rectangle: x spans 2, y spans 1
-        xs = [v.x for v in chain.terms[0][1].vertices]
-        ys = [v.y for v in chain.terms[0][1].vertices]
-        assert max(xs) - min(xs) == 2.0
-        assert max(ys) - min(ys) == 1.0
+    def test_single_component_is_one_triangle(self):
+        loop = normal_form_loop(Bivector6(ij=2.0))
+        assert len(loop.vertices) == 3
+        area = loop_area(loop)
+        assert area.ij == pytest.approx(2.0, rel=1e-15)
+        assert np.allclose(area.components()[[0, 1, 3, 4, 5]], 0.0, atol=1e-15)
+        # a right isosceles triangle of legs 2 in the xy plane
+        assert all(v.z == 0.0 and v.h == 0.0 for v in loop.vertices)
 
     def test_zero_target_is_empty(self):
-        assert len(rectangle_chain(Bivector6())) == 0
+        """A zero resultant is a Zero Bar and gets no loop."""
+        g = FrameGraph([("x", (0, 0, 0)), ("y", (1, 0, 0)), ("z", (0, 1, 0))],
+                       [("a", "x", "y"), ("b", "x", "y"), ("c", "y", "z"), ("d", "y", "z")])
+        basis = fundamental_cycles(g)
+        state = SelfStressState({"b": Bivector6(), "d": Bivector6(ij=1.0, kh=1.0)})
+        assert [name for name, _ in realize_state(g, basis, state).items] == ["bar_c", "bar_d"]
 
     def test_k5_tree_bar_resultant_target(self):
         g = k5_frame()
         basis = fundamental_cycles(g)
         state = random_state(np.random.default_rng(21), basis)
         target = all_bar_resultants(state, basis, g)["s1"].bivector
-        chain = rectangle_chain(target)
-        assert len(chain) <= 6
-        err = (chain_area(chain) - target).norm()
-        assert err <= 1e-12 * target.norm()
+        loop = normal_form_loop(target)
+        assert len(loop.vertices) == 6
+        assert rel_err(loop, target) <= 1e-12
 
     def test_thousand_random_targets(self):
         rng = np.random.default_rng(22)
         for _ in range(1000):
             target = Bivector6(*rng.normal(size=6))
             anchor = rng.uniform(-5.0, 5.0, size=4)
-            err = (chain_area(rectangle_chain(target, anchor)) - target).norm()
-            assert err <= 1e-12 * target.norm()
+            assert rel_err(normal_form_loop(target, anchor), target) <= 1e-12
 
     def test_anchor_never_changes_the_area(self):
         target = Bivector6(1.0, -2.0, 3.0, -0.5, 0.25, 4.0)
-        a = chain_area(rectangle_chain(target, (0, 0, 0, 0)))
-        b = chain_area(rectangle_chain(target, (8.5, -3.25, 2.0, 1.5)))
+        a = loop_area(normal_form_loop(target, (0, 0, 0, 0)))
+        b = loop_area(normal_form_loop(target, (8.5, -3.25, 2.0, 1.5)))
         assert np.allclose(a.components(), b.components(), atol=1e-12)
+
+
+class TestNormalFormLoop:
+    # vertices at +-1e3 round at 1e3 machine epsilons, so an area of 1 or
+    # more keeps that rounding below 1e-12 of it
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6),
+           anchor=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+    def test_shoelace_areas_are_the_bivector(self, row, anchor):
+        target = Bivector6(*row)
+        assume(target.norm() >= 1.0)
+        assert rel_err(normal_form_loop(target, anchor), target) <= 1e-12
+
+    def test_simple_bivectors_are_one_triangle(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            force = rng.normal(size=3)
+            mid = rng.uniform(-1e3, 1e3, size=3)
+            for target in (Bivector6.from_force_moment(force, [0.0, 0.0, 0.0]),
+                           Bivector6.from_force_moment(force, np.cross(mid, force))):
+                loop = normal_form_loop(target, (*mid, 0.0))
+                assert len(loop.vertices) == 3
+                assert rel_err(loop, target) <= 1e-12
+
+    def test_general_bivectors_are_two_triangles_through_the_anchor(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            target = Bivector6(*rng.normal(size=6))
+            assert not is_simple(target)
+            loop = normal_form_loop(target, (1.0, 2.0, 3.0, 0.0))
+            assert len(loop.vertices) == 6
+            assert loop.vertices[0] == loop.vertices[3] == Point4(1.0, 2.0, 3.0, 0.0)
+
+    def test_equal_weights(self):
+        """jk = ih = 1: M^T M is the identity, so the top eigenvector says
+        nothing about the first plane, and the second is taken orthogonal
+        to it."""
+        target = Bivector6(jk=1.0, ih=1.0)
+        loop = normal_form_loop(target)
+        assert len(loop.vertices) == 6
+        assert rel_err(loop, target) <= 1e-15
+        rows = loop.vertex_array()
+        e1, f1, e2, f2 = rows[1], rows[2], rows[4], rows[5]  # each of length sqrt(2)
+        gram = np.array([e1, f1, e2, f2]) @ np.array([e1, f1, e2, f2]).T
+        assert np.allclose(gram, 2.0 * np.eye(4), atol=1e-15)
+
+    def test_pure_couple(self):
+        target = Bivector6(ih=0.5, jh=-1.5, kh=2.0)
+        loop = normal_form_loop(target, (1.0, -1.0, 0.5, 0.0))
+        assert len(loop.vertices) == 3
+        assert rel_err(loop, target) <= 1e-15
+        assert np.linalg.norm(force_of(loop_area(loop))) <= 1e-15
+
+    def test_rows_are_the_per_row_reference_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        rows = rng.normal(size=(300, 6)) * 10.0 ** rng.uniform(-3, 3, size=(300, 6))
+        rows[::3, 3:] = np.cross(rng.uniform(-5, 5, size=(100, 3)), rows[::3, :3])
+        anchors = rng.uniform(-5, 5, size=(300, 4))
+        loops, simple = _normal_form_loops(anchors, rows)
+        for loop, is_simple_row, row, anchor in zip(loops, simple, rows, anchors):
+            expected = ref_normal_form_loop(row, anchor).vertex_array()
+            assert np.array_equal(loop[:3] if is_simple_row else loop, expected)
 
 
 class TestTriangleForAxial:
@@ -120,9 +189,9 @@ class TestTriangleForAxial:
         state = axial_to_state(g, basis, axial_selfstress_basis(g)[0])
         items = realize_state(g, basis, state, per="cycle").items
         assert len(items) == len(basis)
-        for name, chain, loops in items:
-            assert not chain and len(loops) == 1
-            spatial = force_of(loop_area(loop_of(loops[0])))
+        for name, rows in items:
+            assert len(rows) == 3
+            spatial = force_of(item_area(rows))
             assert np.linalg.norm(np.cross(spatial, g.direction(name.removeprefix("cycle_")))) < 1e-10
 
     def test_prism_triangle_areas_close_at_every_node(self):
@@ -130,7 +199,7 @@ class TestTriangleForAxial:
         basis = fundamental_cycles(g)
         state = axial_to_state(g, basis, axial_selfstress_basis(g)[0])
         resultants = all_bar_resultants(state, basis, g)
-        triangles = {name: loops for name, _, loops in realize_state(g, basis, state).items}
+        triangles = dict(realize_state(g, basis, state).items)
         scale = max(np.linalg.norm(resultants[e].force) for e in g.edge_ids)
         for node in g.node_ids:
             total = np.zeros(3)
@@ -139,14 +208,16 @@ class TestTriangleForAxial:
                 total += sign * force_of(item_area(triangles[f"bar_{e}"]))
             assert np.linalg.norm(total) <= 1e-10 * scale
 
-    def test_zero_force_with_moment_falls_back_to_rectangles(self):
+    def test_zero_force_with_moment_is_a_pure_couple_triangle(self):
+        """Not axial, and simple: one triangle in a plane through h."""
         g = FrameGraph([("x", (0, 0, 0)), ("y", (1, 0, 0))], [("a", "x", "y"), ("b", "x", "y")])
         basis = fundamental_cycles(g)
         state = SelfStressState({"b": Bivector6(kh=2.0)})
         realized = realize_state(g, basis, state)
-        assert realized.fallbacks == ("bar_a", "bar_b")
-        for name, _, loops in realized.items:
-            b = item_area(loops)
+        assert [name for name, _ in realized.items] == ["bar_a", "bar_b"]
+        for name, rows in realized.items:
+            assert len(rows) == 3
+            b = item_area(rows)
             assert np.allclose(moment_of(b), [0, 0, 2.0 if name == "bar_b" else -2.0])
             assert np.allclose(force_of(b), [0, 0, 0])
 
@@ -155,7 +226,7 @@ class TestTriangleForAxial:
         basis = fundamental_cycles(g)
         state = random_state(np.random.default_rng(25), basis)
         state = SelfStressState({**state.resultants, "o23": Bivector6()})
-        names = [name for name, _, _ in realize_state(g, basis, state, per="cycle").items]
+        names = [name for name, _ in realize_state(g, basis, state, per="cycle").items]
         assert names == [f"cycle_{c.generator}" for c in basis if c.generator != "o23"]
 
     def test_degenerate_bar_rejected(self):
@@ -183,7 +254,7 @@ class TestZeroBarLoop:
 
     def test_additive_identity_in_a_chain(self):
         target = Bivector6(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-        chain = rectangle_chain(target)
+        chain = DualChain(((1, normal_form_loop(target)),))
         bowtie = zero_bar_loop(np.array([1.0, 0.0, 0.0]))
         extended = chain + DualChain(((1, bowtie),))
         assert np.allclose(
@@ -193,23 +264,3 @@ class TestZeroBarLoop:
     def test_non_unit_normal_rejected(self):
         with pytest.raises(StructureError, match="unit"):
             zero_bar_loop(np.array([1.0, 1.0, 0.0]))
-
-
-class TestMergeChain:
-    def test_rectangles_merge_into_one_connected_loop(self):
-        target = Bivector6(1.0, -2.0, 0.5, 3.0, -0.25, 1.5)
-        merged = _merge_rows(rectangle_rows(target))
-        assert len(merged) == 1
-        assert np.allclose(item_area(merged).components(), target.components(), atol=1e-12)
-
-    def test_negative_coefficients_fold_into_orientation(self):
-        sq = rectangle_chain(Bivector6(ij=1.0)).terms[0][1]
-        chain = DualChain(((-2, sq),))
-        merged = ref_merge_chain(chain)
-        assert sum(c for c, _ in merged.terms) == len(merged.terms)  # all +1
-        assert chain_area(merged).ij == pytest.approx(-2.0)
-
-    def test_disjoint_loops_stay_apart(self):
-        a = rectangle_rows(Bivector6(ij=1.0), (0, 0, 0, 0))
-        b = rectangle_rows(Bivector6(ij=1.0), (10, 10, 10, 0))
-        assert len(_merge_rows(a + b)) == 2
