@@ -11,6 +11,7 @@ arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from collections import deque
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,10 +35,10 @@ class FrameGraph:
         nodes: Iterable[tuple[NodeId, Sequence[float]]],
         edges: Iterable[tuple[EdgeId, NodeId, NodeId]],
     ):
-        positions: dict[NodeId, np.ndarray] = {}
-        node_order: list[NodeId] = []
+        rows: dict[NodeId, int] = {}  # node id -> row of positions
+        coords: list[np.ndarray] = []
         for node_id, pos in nodes:
-            if node_id in positions:
+            if node_id in rows:
                 raise StructureError(f"duplicate node id {node_id!r}")
             p = np.asarray(pos, dtype=float)
             if p.shape != (3,):
@@ -46,39 +47,45 @@ class FrameGraph:
                 )
             if not np.all(np.isfinite(p)):
                 raise StructureError(f"node {node_id!r}: non-finite coordinates")
-            positions[node_id] = p
-            node_order.append(node_id)
-        if not node_order:
+            rows[node_id] = len(coords)
+            coords.append(p)
+        if not rows:
             raise StructureError("graph has no nodes")
 
         ends: dict[EdgeId, tuple[NodeId, NodeId]] = {}
-        edge_order: list[EdgeId] = []
         for edge_id, tail, head in edges:
             if edge_id in ends:
                 raise StructureError(f"duplicate bar id {edge_id!r}")
             for end in (tail, head):
-                if end not in positions:
+                if end not in rows:
                     raise StructureError(
                         f"bar {edge_id!r} references unknown node {end!r}"
                     )
             if tail == head:
                 raise StructureError(f"bar {edge_id!r} is a self-loop at {tail!r}")
             ends[edge_id] = (tail, head)
-            edge_order.append(edge_id)
 
-        self.node_ids: tuple[NodeId, ...] = tuple(node_order)
-        self.edge_ids: tuple[EdgeId, ...] = tuple(edge_order)
-        self._pos = positions
+        self.node_ids: tuple[NodeId, ...] = tuple(rows)
+        self.edge_ids: tuple[EdgeId, ...] = tuple(ends)
+        self._rows = rows
         self._ends = ends
+        # The frame as read-only arrays, built once: node positions (v x 3)
+        # in node_ids order and every bar's (tail, head) node rows (e x 2) in
+        # edge_ids order; `columns` maps a bar id to its row of end_rows.
+        self.positions = np.array(coords)
+        self.end_rows = np.array(
+            [rows[end] for pair in ends.values() for end in pair], dtype=int
+        ).reshape(-1, 2)
+        self.positions.flags.writeable = self.end_rows.flags.writeable = False
+        self.columns = MappingProxyType({bar: i for i, bar in enumerate(ends)})
 
-        incident: dict[NodeId, list[EdgeId]] = {n: [] for n in node_order}
-        for edge_id in edge_order:
-            tail, head = ends[edge_id]
+        incident: dict[NodeId, list[EdgeId]] = {n: [] for n in rows}
+        for edge_id, (tail, head) in ends.items():
             incident[tail].append(edge_id)
             incident[head].append(edge_id)
         self._incident = {n: tuple(es) for n, es in incident.items()}
 
-        unreachable = self._unreachable_from(node_order[0])
+        unreachable = self._unreachable_from(self.node_ids[0])
         if unreachable:
             raise StructureError(
                 "graph is disconnected; unreachable nodes: "
@@ -109,14 +116,14 @@ class FrameGraph:
         return len(self.edge_ids)
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._pos
+        return node in self._rows
 
     def has_edge(self, edge: EdgeId) -> bool:
         return edge in self._ends
 
     def position(self, node: NodeId) -> np.ndarray:
         try:
-            return self._pos[node].copy()
+            return self.positions[self._rows[node]].copy()
         except KeyError:
             raise StructureError(f"unknown node {node!r}") from None
 
@@ -136,22 +143,26 @@ class FrameGraph:
 
     # -- bar geometry ------------------------------------------------------
 
-    def length(self, edge: EdgeId) -> float:
+    def _end_positions(self, edge: EdgeId) -> tuple[np.ndarray, np.ndarray]:
         tail, head = self.ends(edge)
-        return float(np.linalg.norm(self._pos[head] - self._pos[tail]))
+        return self.positions[self._rows[tail]], self.positions[self._rows[head]]
+
+    def length(self, edge: EdgeId) -> float:
+        tail, head = self._end_positions(edge)
+        return float(np.linalg.norm(head - tail))
 
     def direction(self, edge: EdgeId) -> np.ndarray:
         """Unit vector tail -> head; zero-length bars are an error."""
-        tail, head = self.ends(edge)
-        d = self._pos[head] - self._pos[tail]
+        tail, head = self._end_positions(edge)
+        d = head - tail
         n = np.linalg.norm(d)
         if n == 0.0:
             raise StructureError(f"bar {edge!r} has coincident endpoints")
         return d / n
 
     def midpoint(self, edge: EdgeId) -> np.ndarray:
-        tail, head = self.ends(edge)
-        return 0.5 * (self._pos[tail] + self._pos[head])
+        tail, head = self._end_positions(edge)
+        return 0.5 * (tail + head)
 
     def __repr__(self) -> str:
         return f"FrameGraph(v={self.v}, e={self.e})"

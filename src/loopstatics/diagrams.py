@@ -20,7 +20,7 @@ import numpy as np
 from .chains import FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
-from .selfstress import SelfStressState, _axial_verdicts, _bar_array, _bar_frames
+from .selfstress import SelfStressState, _judged_bars
 from .synthesis import _normal_form_loops, _triangles
 
 
@@ -62,16 +62,13 @@ def realize_state(
     common central node (translation does not change any projected area).
     All loops are built at once as vertex arrays.
     """
-    b = _bar_array(state, basis, graph)
-    units, mids = _bar_frames(graph)
-    parallel, matches, _, zero = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
+    b, mids, parallel, matches, _, zero = _judged_bars(state, basis, graph, tol)
     if per == "bar":
         names, rows = [f"bar_{bar}" for bar in graph.edge_ids], np.arange(graph.e)
     elif per == "cycle":
         # a generator bar lies on its own loop only, so its row is the loop's
-        col = {bar: i for i, bar in enumerate(graph.edge_ids)}
         names = [f"cycle_{c.generator}" for c in basis]
-        rows = np.array([col[c.generator] for c in basis], dtype=int)
+        rows = np.array([graph.columns[c.generator] for c in basis], dtype=int)
     else:
         raise StructureError(f"unknown realization mode {per!r}")
 
@@ -81,49 +78,56 @@ def realize_state(
     b, mids, axial = b[rows], mids[rows], (parallel & matches)[rows]
     general = ~axial
     loops = np.empty((len(rows), 6, 4))
-    f_norms = np.array([np.linalg.norm(f) for f in b[axial, :3]])
+    # each force over the power of two that brings its largest entry near 1,
+    # so that its square cannot underflow; its norm is scaled back exactly
+    exps = np.frexp(np.abs(b[axial, :3]).max(axis=1))[1]
+    f_norms = np.ldexp([np.linalg.norm(f) for f in np.ldexp(b[axial, :3], -exps[:, None])], exps)
     loops[axial, :3] = _triangles(mids[axial], b[axial, :3], b[axial, 3:], f_norms)
     anchors = np.column_stack([mids[general], np.zeros(general.sum())])
     loops[general], simple = _normal_form_loops(anchors, b[general])
     sizes = np.full(len(rows), 3)
     sizes[general] = np.where(simple, 3, 6)
     vertices = loops[np.arange(6) < sizes[:, None]]
-    owners = np.arange(len(rows))
-    _check_loops(names, vertices, sizes, owners)
+    _check_loops(names, vertices, sizes)
     if share_vertex:
         first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each item's first vertex
         vertices = vertices + (0.0 - vertices[first])
-        _check_loops(names, vertices, sizes, owners)
+        _check_loops(names, vertices, sizes)
     vertex_rows = iter(map(tuple, vertices.tolist()))
     return RealizedDiagram(tuple(
         (name, list(islice(vertex_rows, size))) for name, size in zip(names, sizes.tolist())
     ))
 
 
-def _check_loops(names, vertices, sizes, owners) -> None:
-    """Reject the first item, in output order, with a loop that has a
-    non-finite coordinate, fewer than 3 vertices, or consecutive vertices
-    that coincide, which at finite coordinates only rounding can cause.
-    `vertices` holds every loop's rows back to back, `sizes` the loops'
-    lengths and `owners` their items' indices into `names`."""
+def _check_loops(names, vertices, sizes) -> None:
+    """Reject the first loop, in output order, that has a non-finite
+    coordinate, fewer than 3 vertices, consecutive vertices that coincide,
+    or vertices that differ in one coordinate only, which leaves no area
+    in any plane; at finite coordinates only rounding can cause the last
+    two.  `vertices` holds every loop's rows back to back, and `sizes`
+    the loops' lengths, one loop per name."""
     if not len(sizes):
         return
     if sizes.min() < 3:
         raise StructureError("a loop needs at least 3 vertices")
-    ends = np.cumsum(sizes)
+    starts = np.cumsum(sizes) - sizes
     following = np.arange(1, len(vertices) + 1)
-    following[ends - 1] = ends - sizes
-    finite = np.isfinite(vertices)
-    bad = ~finite.all(axis=1) | (vertices == vertices[following]).all(axis=1)
+    following[starts + sizes - 1] = starts
+    nonfinite = ~np.isfinite(vertices)
+    coincide = (vertices == vertices[following]).all(axis=1)
+    varied = np.logical_or.reduceat(vertices != vertices[np.repeat(starts, sizes)], starts)
+    flat = varied.sum(axis=1) < 2
+    bad = np.logical_or.reduceat(nonfinite.any(axis=1) | coincide, starts) | flat
     if not bad.any():
         return
-    owner = np.repeat(owners, sizes)
-    first = owner[bad].min()
-    nonfinite = np.argwhere(~finite[owner == first])
-    if len(nonfinite):
-        raise StructureError(f"non-finite coordinate {'xyzh'[nonfinite[0, 1]]}")
+    first = int(np.argmax(bad))
+    rows = slice(starts[first], starts[first] + sizes[first])
+    if nonfinite[rows].any():
+        raise StructureError(f"non-finite coordinate {'xyzh'[np.argwhere(nonfinite[rows])[0, 1]]}")
+    why = "consecutive vertices coincide" if coincide[rows].any() else \
+        "its vertices differ in one coordinate only"
     raise StructureError(f"loop {names[first]} collapsed under rounding at these "
-                         "coordinates: consecutive vertices coincide")
+                         f"coordinates: {why}")
 
 
 _VERTEX = "v %r %r %r\nh %r"
@@ -149,10 +153,8 @@ def _mesh_text(objects) -> str:
 
 def form_diagram_text(graph: FrameGraph) -> str:
     """Structure geometry as one polyline object; bars become 2-point lines."""
-    index = {n: i for i, n in enumerate(graph.node_ids)}
-    rows = [(*graph.position(n).tolist(), 0.0) for n in graph.node_ids]
-    polylines = [[index[end] for end in graph.ends(e)] for e in graph.edge_ids]
-    return _mesh_text([("form", rows, polylines)])
+    rows = [(*p, 0.0) for p in graph.positions.tolist()]
+    return _mesh_text([("form", rows, graph.end_rows.tolist())])
 
 
 def force_diagram_text(realized: RealizedDiagram) -> str:
@@ -164,22 +166,18 @@ def export_diagrams(
     graph: FrameGraph,
     realized: RealizedDiagram | None = None,
     directory: str | Path = ".",
-    form_name: str = "form.obj",
-    force_name: str = "force.obj",
 ) -> list[Path]:
-    """Write the form diagram, and the force diagram when there are loops.
+    """Write the form diagram to form.obj, and the force diagram to
+    force.obj when there are loops.
 
     Returns the written paths.  `realized` is what realize_state returns;
     pass None or an empty one for form only.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    form_path = directory / form_name
-    form_path.write_text(form_diagram_text(graph))
-    paths.append(form_path)
+    paths = [directory / "form.obj"]
+    paths[0].write_text(form_diagram_text(graph))
     if realized:
-        force_path = directory / force_name
-        force_path.write_text(force_diagram_text(realized))
-        paths.append(force_path)
+        paths.append(directory / "force.obj")
+        paths[1].write_text(force_diagram_text(realized))
     return paths

@@ -15,14 +15,7 @@ import numpy as np
 from .chains import FrameGraph
 from .cycles import FundamentalCycle, SpanningTree, fundamental_cycles, spanning_tree
 from .errors import StateError
-from .selfstress import (
-    SelfStressState,
-    _axial_verdicts,
-    _bar_array,
-    _bar_frames,
-    _node_array,
-    selfstress_dimension,
-)
+from .selfstress import SelfStressState, _judged_bars, _node_array, selfstress_dimension
 from .statics import StaticsSummary, analyze_statics
 
 REPORT_FORMAT = "frame-report/1"
@@ -282,9 +275,7 @@ def build_report(
               "selfstress_dimension": selfstress_dimension(graph)}
     bar_table = verdicts = node_table = None
     if state is not None:
-        b = _bar_array(state, basis, graph)
-        frames = _bar_frames(graph)
-        parallel, matches, axial, _ = _axial_verdicts(b[:, :3], b[:, 3:], *frames, axial_tol)
+        b, _, parallel, matches, axial, _ = _judged_bars(state, basis, graph, axial_tol)
         bar_table = np.column_stack([b, axial])
         verdicts = np.column_stack([parallel, matches])
         node_table = _node_array(graph, b)

@@ -92,7 +92,7 @@ def _bar_array(state: SelfStressState, basis: list, graph: FrameGraph) -> np.nda
     bar (force, total moment) rows, where C is the signed loop x bar
     incidence of the basis and R the c x 6 state."""
     state.require_complete(basis)
-    col = {bar: i for i, bar in enumerate(graph.edge_ids)}
+    col = graph.columns
     triplets = [
         (k, col[bar], c) for k, cyc in enumerate(basis) for bar, c in cyc.chain.items()
     ]
@@ -109,29 +109,16 @@ def _node_array(graph: FrameGraph, b: np.ndarray) -> np.ndarray:
     e x k bar rows, accumulated per node in bar input order."""
     signs = np.tile([-1.0, 1.0], graph.e)[:, None]  # (tail, head) of each bar
     n = np.zeros((graph.v, b.shape[1]))
-    np.add.at(n, _end_rows(graph).ravel(), signs * np.repeat(b, 2, axis=0))
+    np.add.at(n, graph.end_rows.ravel(), signs * np.repeat(b, 2, axis=0))
     return n
 
 
-def _end_rows(graph: FrameGraph) -> np.ndarray:
-    """e x 2 node indices of every bar's (tail, head)."""
-    row = {node: i for i, node in enumerate(graph.node_ids)}
-    ends = [row[end] for bar in graph.edge_ids for end in graph.ends(bar)]
-    return np.array(ends, dtype=int).reshape(-1, 2)
-
-
-def _bar_frames(
-    graph: FrameGraph, ends: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _bar_frames(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
     """Unit direction and midpoint of every bar (e x 3 each), bit for bit
-    `graph.direction` and `graph.midpoint`: the positions are gathered
-    once, and each length is the square root of one scalar dot product,
-    as np.linalg.norm takes it; row-wise norms can differ in the last bit.
-    `ends` is `_end_rows(graph)`, built here when not given."""
-    pos = np.array([graph.position(n) for n in graph.node_ids])
-    if ends is None:
-        ends = _end_rows(graph)
-    tail, head = pos[ends[:, 0]], pos[ends[:, 1]]
+    `graph.direction` and `graph.midpoint`: each length is the square root
+    of one scalar dot product, as np.linalg.norm takes it; row-wise norms
+    can differ in the last bit."""
+    tail, head = graph.positions[graph.end_rows.T]
     d = head - tail
     lengths = np.sqrt([x.dot(x) for x in d])
     if not lengths.all():
@@ -140,27 +127,45 @@ def _bar_frames(
     return d / lengths[:, None], 0.5 * (tail + head)
 
 
-def _axial_verdicts(forces, moments, units, mids, tol: float):
-    """The axial test for bars judged together, as arrays.
+def _axial_verdicts(b: np.ndarray, units, mids, tol: float):
+    """The axial test for bars judged together, as arrays, given their
+    e x 6 (force, total moment) rows.
 
     A bar's force must be parallel to it, and its total moment must equal
     midpoint x force, each within tol times the largest bar force, or the
     largest max(|m|, |r| |f|), among the bars judged.  Returns
     (force_parallel, moment_matches, axial_force, zero); tension is
     positive, and a Zero Bar is one whose force and moment are themselves
-    within those bounds.
+    within those bounds.  Norms are taken of the rows over one power of
+    two, which brings the largest entry of b near 1: exact, so the verdicts
+    do not change when the state is scaled, and no square underflows.
     """
+    forces, moments = b[:, :3], b[:, 3:]
+    shift = -np.frexp(np.abs(b).max(initial=0.0))[1]
+
+    def norms(rows):
+        return np.linalg.norm(np.ldexp(rows, shift), axis=1)
+
     axial = np.array([f @ u for f, u in zip(forces, units)])
-    f_norm = np.linalg.norm(forces, axis=1)
+    f_norm = norms(forces)
     lever = np.linalg.norm(mids, axis=1) * f_norm
-    m_norm = np.linalg.norm(moments, axis=1)
+    m_norm = norms(moments)
     m_own = np.maximum(m_norm, lever)
-    perp = np.linalg.norm(forces - axial[:, None] * units, axis=1)
-    m_err = np.linalg.norm(moments - np.cross(mids, forces), axis=1)
+    perp = norms(forces - axial[:, None] * units)
+    m_err = norms(moments - np.cross(mids, forces))
     bound_f = tol * f_norm.max(initial=0.0)
     bound_m = tol * m_own.max(initial=0.0)
     zero = (f_norm <= bound_f) & (m_norm <= bound_m)
     return perp <= bound_f, m_err <= bound_m, axial, zero
+
+
+def _judged_bars(state: SelfStressState, basis: list, graph: FrameGraph, tol: float):
+    """Chain summation, bar frames and axial verdicts of every bar:
+    (b, mids, force_parallel, moment_matches, axial_force, zero), with b
+    as `_bar_array` and the rest as `_axial_verdicts` give them."""
+    b = _bar_array(state, basis, graph)
+    units, mids = _bar_frames(graph)
+    return (b, mids, *_axial_verdicts(b, units, mids, tol))
 
 
 def all_bar_resultants(
@@ -195,8 +200,7 @@ def check_axial(
     A bar passes when its force is parallel to the bar and its total moment
     equals midpoint x force, i.e. its internal bending and torsion vanish.
     """
-    b = _bar_array(state, basis, graph)
-    parallel, matches, axial, _ = _axial_verdicts(b[:, :3], b[:, 3:], *_bar_frames(graph), tol)
+    _, _, parallel, matches, axial, _ = _judged_bars(state, basis, graph, tol)
     return {
         bar: AxialCheck(bar, bool(parallel[i]), bool(matches[i]), float(axial[i]))
         for i, bar in enumerate(graph.edge_ids)

@@ -18,7 +18,7 @@ import numpy as np
 from .chains import EdgeId, FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
-from .selfstress import SelfStressState, _bar_frames, _end_rows, _node_array
+from .selfstress import SelfStressState, _bar_frames, _node_array
 from .wedge import Bivector6
 
 
@@ -68,9 +68,8 @@ class StaticsSummary:
 
 
 def equilibrium_matrix(graph: FrameGraph) -> EquilibriumMatrix:
-    ends = _end_rows(graph)
-    units, _ = _bar_frames(graph, ends)  # raises on coincident endpoints
-    a = _block(units, ends, 0, 3 * graph.v, np.arange(graph.e))
+    units, _ = _bar_frames(graph)  # raises on coincident endpoints
+    a = _block(units, graph.end_rows, 0, 3 * graph.v, np.arange(graph.e))
     return EquilibriumMatrix(matrix=a, node_ids=graph.node_ids, edge_ids=graph.edge_ids)
 
 
@@ -109,25 +108,21 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     The counts take the frame's 6 rigid-body motions, so a frame with fewer
     than 3 nodes, or with every node on one line, is a StructureError.
     """
-    pos = np.array([graph.position(n) for n in graph.node_ids])
+    pos = graph.positions
     if graph.v < 3 or np.linalg.matrix_rank(pos - pos.mean(axis=0)) < 2:
         raise StructureError(
             "statics need at least 3 nodes not on one line: the counts take 6 rigid-body motions"
         )
-    ends = _end_rows(graph)
-    units, _ = _bar_frames(graph, ends)  # raises on coincident endpoints
+    units, _ = _bar_frames(graph)  # raises on coincident endpoints
     rows = 3 * graph.v
-    a = _block(units, ends, 0, rows, np.arange(graph.e))
+    a = _block(units, graph.end_rows, 0, rows, np.arange(graph.e))
     # The frames live on through the SVD into the basis steps.  Copies made
     # now, with A allocated, keep clear of the freed heap that, in a process
     # that runs the statics again and again, takes the SVD's copy of A and
     # its work buffer; with the first arrays kept, the benchmark's
     # lattice-axial worker peaked at ~82 MB instead of ~70 MB on 3 of 5 seeds.
-    units, ends = units.copy(), ends.copy()
-    if a.size > _EXACT_SVD_SIZE:
-        sigma = np.linalg.svd(a, compute_uv=False)
-    else:
-        sigma = np.linalg.svd(a, full_matrices=False)[1]
+    units, ends = units.copy(), graph.end_rows.copy()
+    sigma = np.linalg.svd(a, compute_uv=False)
     # a tolerance below numpy's default rank tolerance would count rounding
     # noise as rank, and let it pass for independent columns
     cut = max(rtol, max(a.shape) * np.finfo(float).eps) * sigma[0] if sigma.size else 0.0
@@ -146,12 +141,6 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
     )
 
 
-# Equilibrium matrices with at most this many entries (a few dozen bars)
-# take their singular values from the reduced SVD, which costs them a few
-# microseconds more than the values alone and gives the full SVD's values
-# to the bit, so such a frame's reported sigma_min does not move.  Larger
-# ones take the values alone, in under half the time.
-_EXACT_SVD_SIZE = 1 << 10
 # Columns taken together by the redundant-bar search, whose Python
 # iterations scale with blocks plus redundant bars, and by the basis's
 # products and orthonormalization, whose work arrays are this wide.
@@ -363,8 +352,7 @@ def axial_to_state(
         raise StructureError(
             f"axial force vector is not a self-stress (|A q| = {residual:.3e})"
         )
-    col = {bar: i for i, bar in enumerate(graph.edge_ids)}
-    gens = np.array([col[c.generator] for c in basis], dtype=int)
+    gens = np.array([graph.columns[c.generator] for c in basis], dtype=int)
     force = qv[gens, None] * units[gens]
     rows = np.hstack([force, np.cross(mids[gens], force)])
     return SelfStressState(

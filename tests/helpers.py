@@ -16,7 +16,7 @@ from loopstatics import (
     loop_area,
     prism_frame,
 )
-from loopstatics.selfstress import _axial_verdicts, _bar_array, _bar_frames
+from loopstatics.selfstress import _judged_bars
 from loopstatics.statics import _BLOCK, _column_sq, _select_in_order
 from loopstatics.synthesis import _normal_form_loops
 
@@ -206,14 +206,11 @@ def ref_axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray):
 def ref_realize_loops(graph, basis, state, per="bar", tol=1e-9, share_vertex=False):
     """(name, LoopPath) pairs as realize_state builds them, one loop at a
     time."""
-    b = _bar_array(state, basis, graph)
-    units, mids = _bar_frames(graph)
-    parallel, matches, _, zero = _axial_verdicts(b[:, :3], b[:, 3:], units, mids, tol)
+    b, mids, parallel, matches, _, zero = _judged_bars(state, basis, graph, tol)
     if per == "bar":
         items = [(f"bar_{bar}", i) for i, bar in enumerate(graph.edge_ids)]
     else:
-        col = {bar: i for i, bar in enumerate(graph.edge_ids)}
-        items = [(f"cycle_{c.generator}", col[c.generator]) for c in basis]
+        items = [(f"cycle_{c.generator}", graph.columns[c.generator]) for c in basis]
     loops = []
     for name, i in items:
         if zero[i]:
@@ -392,3 +389,43 @@ def ref_prism_critical_twist(
             d = a + invphi * (b - a)
             fd = _ref_sigma_min(radius, half_height, d)
     return float(0.5 * (a + b))
+
+
+# -- reference loop-space statics: the paper's route to the axial
+# self-stresses, independent of the equilibrium matrix and its SVD --
+
+
+def ref_loop_space_selfstresses(graph: FrameGraph, basis, axial: bool = True) -> np.ndarray:
+    """The chain sums, as e x 6 x d bar (force, total moment) rows, of an
+    orthonormal basis of the null space of K, the loop-space system over
+    the 6c components of the c loop resultants of `basis`.
+
+    K's first rows are node balance of the chain sums, with the incidence
+    taken from `graph.end_rows`.  They vanish identically, so alone they
+    leave d = 6c = `selfstress_dimension` states.  With `axial`, K also
+    requires each loop's resultant to be (u, mid x u) q_g on its generator
+    g, and each tree bar's chain sum to be axial: every bar's chain sum
+    must lie on its bar's line (u, mid x u), from `graph.positions`.  Then
+    d is the frame's count s of axial self-stresses."""
+    pos, ends = graph.positions, graph.end_rows
+    tail, head = pos[ends[:, 0]], pos[ends[:, 1]]
+    units = (head - tail) / np.linalg.norm(head - tail, axis=1)[:, None]
+    lines = np.hstack([units, np.cross(0.5 * (tail + head), units)])
+    lines /= np.linalg.norm(lines, axis=1)[:, None]
+    incidence = np.zeros((graph.e, len(basis)))  # bar x loop
+    for k, cycle in enumerate(basis):
+        for bar, coeff in cycle.chain.items():
+            incidence[graph.columns[bar], k] = coeff
+    chain_sum = np.kron(incidence, np.eye(6))  # 6c loop components -> 6e bar rows
+    nodes = np.zeros((graph.v, graph.e))
+    np.add.at(nodes, (ends[:, 1], np.arange(graph.e)), 1.0)  # +1 into a node
+    np.add.at(nodes, (ends[:, 0], np.arange(graph.e)), -1.0)
+    rows = [np.kron(nodes, np.eye(6)) @ chain_sum]
+    if axial:
+        off_line = np.eye(6) - lines[:, :, None] * lines[:, None, :]  # e x 6 x 6
+        rows.append((off_line @ chain_sum.reshape(graph.e, 6, -1)).reshape(6 * graph.e, -1))
+    k = np.vstack(rows)
+    # all of V only when K has fewer rows than columns, as balance alone can
+    _, sigma, vt = np.linalg.svd(k, full_matrices=k.shape[0] < k.shape[1])
+    rank = int(np.sum(sigma > 1e-9 * max(sigma.max(initial=0.0), 1.0)))
+    return (chain_sum @ vt[rank:].T).reshape(graph.e, 6, -1)

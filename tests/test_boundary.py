@@ -31,6 +31,8 @@ from loopstatics import (
 from loopstatics.cli import main
 from loopstatics.document import MAX_MAGNITUDE
 
+from helpers import random_state
+
 
 def _no_constants(name):
     raise ValueError(f"non-finite token {name} in output")
@@ -113,6 +115,47 @@ class TestNoiseForceBars:
             meshes.append((out_dir / "force.obj").read_bytes())
         assert meshes[0] == meshes[1]
         assert f"o cycle_{noise}\n".encode() not in meshes[0]
+
+
+def _k5_state(kind: str) -> SelfStressState:
+    """On `gen k5`, a general state (N(0, 1) components, rng 1) or the
+    axial state of the first null-basis vector."""
+    g = k5_frame()
+    basis = fundamental_cycles(g)
+    if kind == "general":
+        return random_state(np.random.default_rng(1), basis)
+    return axial_to_state(g, basis, analyze_statics(g).axial_vector(0))
+
+
+class TestTinyStates:
+    """A state at 2^-600, whose squares underflow, is judged as at scale 1:
+    the norms are taken over an exact power of two."""
+
+    def _write(self, tmp_path, kind, scale):
+        path = tmp_path / f"{kind}_{scale!r}.json"
+        path.write_text(serialize_state(_k5_state(kind) * scale))
+        return path
+
+    def test_check_verdicts_do_not_depend_on_scale(self, k5_path, tmp_path):
+        for kind in ("general", "axial"):
+            columns = []
+            for scale in (1.0, 2.0 ** -600):
+                code, out, err = run("check", k5_path, "--state", self._write(tmp_path, kind, scale))
+                assert (code, err) == (0, "")
+                columns.append([(row["is_axial"], row["force_parallel"], row["moment_matches"])
+                                for row in json.loads(out)["axial_check"]])
+            assert columns[0] == columns[1], kind
+            assert {row[0] for row in columns[0]} == {kind == "axial"}
+
+    @pytest.mark.parametrize("kind", ["general", "axial"])
+    def test_export_of_a_tiny_state_collapses(self, k5_path, tmp_path, kind):
+        """Its loops are drawn, not left out as Zero Bars, and at sides of
+        ~1e-90 about midpoints near 1 they round onto themselves."""
+        path = self._write(tmp_path, kind, 2.0 ** -600)
+        code, out, err = run("export", k5_path, "--state", path, "--out-dir", tmp_path / "d")
+        assert code == 2 and out == ""
+        assert err.startswith("error: loop bar_") and err.count("\n") == 1, err
+        assert "collapsed under rounding" in err
 
 
 class TestNonFiniteNumbers:

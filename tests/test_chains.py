@@ -12,7 +12,7 @@ from loopstatics import (
     is_cycle,
 )
 
-from helpers import int_k5
+from helpers import int_k5, random_connected_graph
 
 
 def two_node_graph():
@@ -160,3 +160,33 @@ class TestFrameGraphValidation:
         assert g.length("a") == 1.0
         assert np.allclose(g.direction("a"), [1, 0, 0])
         assert np.allclose(g.midpoint("a"), [0.5, 0, 0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_frame_arrays_are_the_per_node_and_per_bar_queries(seed):
+    """`positions` and `end_rows` hold, bit for bit, the coordinates given
+    and each bar's (tail, head) rows; the geometry queries read them with
+    the same bits as the given coordinates; writing to either raises."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng)
+    given_at = {n: g.position(n) for n in g.node_ids}
+    nodes = [(n, given_at[n]) for n in g.node_ids]
+    h = FrameGraph(nodes, [(e, *g.ends(e)) for e in g.edge_ids])
+    rows = {n: i for i, n in enumerate(h.node_ids)}
+    assert h.positions.shape == (h.v, 3) and h.end_rows.shape == (h.e, 2)
+    assert h.positions.tobytes() == np.array([p for _, p in nodes]).tobytes()
+    for n in h.node_ids:
+        assert h.position(n).tobytes() == h.positions[rows[n]].tobytes()
+    for i, bar in enumerate(h.edge_ids):
+        tail, head = h.ends(bar)
+        assert h.end_rows[i].tolist() == [rows[tail], rows[head]] and h.columns[bar] == i
+        d = given_at[head] - given_at[tail]
+        assert h.direction(bar).tobytes() == (d / np.linalg.norm(d)).tobytes()
+        assert h.midpoint(bar).tobytes() == (0.5 * (given_at[tail] + given_at[head])).tobytes()
+        assert h.length(bar) == float(np.linalg.norm(d))
+    for array in (h.positions, h.end_rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    with pytest.raises(TypeError):
+        h.columns[h.edge_ids[0]] = 1

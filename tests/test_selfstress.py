@@ -18,7 +18,7 @@ from loopstatics import (
     selfstress_dimension,
 )
 
-from loopstatics.selfstress import _bar_array, _bar_frames, _node_array
+from loopstatics.selfstress import _bar_array, _bar_frames, _judged_bars, _node_array
 
 from helpers import (
     lattice_graph,
@@ -220,3 +220,29 @@ def test_bar_frames_are_the_per_bar_geometry_bitwise():
     for g in [k5_frame(), lattice_graph(rng, 3), *(random_connected_graph(rng) for _ in range(10))]:
         for got, expected in zip(_bar_frames(g), ref_bar_frames(g)):
             assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-900, 900))
+def test_verdicts_do_not_change_when_the_state_is_scaled_by_a_power_of_two(seed, power):
+    """Scaling a state by 2^power, as far as 2^-900 where every square
+    underflows, scales each axial force exactly and leaves every verdict,
+    the Zero Bars' included, as it was."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng)
+    basis = fundamental_cycles(g)
+    states = [random_state(rng, basis)]
+    q = axial_selfstress_basis(g) if g.v >= 3 and len(basis) else []
+    if q:
+        states.append(axial_to_state(g, basis, q[0]))
+    for state in states:
+        for tol in (1e-9, 0.0):
+            before = check_axial(state, g, basis, tol)
+            after = check_axial(state * 2.0**power, g, basis, tol)
+            for bar, check in before.items():
+                scaled = after[bar]
+                assert (scaled.force_parallel, scaled.moment_matches) == \
+                    (check.force_parallel, check.moment_matches)
+                assert scaled.axial_force == np.ldexp(check.axial_force, power)
+            zero = [_judged_bars(s, basis, g, tol)[5] for s in (state, state * 2.0**power)]
+            assert zero[0].tolist() == zero[1].tolist()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from loopstatics import (
     AxialForceVector,
@@ -24,8 +24,9 @@ from loopstatics import (
     maxwell_calladine,
     prism_critical_twist,
     prism_frame,
+    selfstress_dimension,
 )
-from loopstatics.selfstress import _bar_frames, _end_rows
+from loopstatics.selfstress import _bar_frames
 from loopstatics.statics import (
     _ROWS,
     _block,
@@ -40,8 +41,10 @@ from helpers import (
     lattice_graph,
     _ref_redundant_bars,
     random_connected_graph,
+    ref_bar_frames,
     ref_equilibrium_matrix,
     ref_force_method_basis,
+    ref_loop_space_selfstresses,
     ref_positive_qr,
     ref_prism_critical_twist,
 )
@@ -86,7 +89,7 @@ def _bars_and_matrix(name):
     """A sample frame's (or the side-5 lattice's) bar unit vectors, end
     nodes and dense equilibrium matrix."""
     g = _sample_frames().get(name) or lattice_graph(np.random.default_rng(22), 5)
-    return _bar_frames(g)[0], _end_rows(g), equilibrium_matrix(g).matrix
+    return _bar_frames(g)[0], g.end_rows, equilibrium_matrix(g).matrix
 
 
 _BLOCK_FRAMES = st.sampled_from(["k5", "critical-prism", "lattice", "random-0",
@@ -432,18 +435,18 @@ class TestNullBasis:
         assert summary.axial_vector(3).forces == vectors[3].forces
 
     def test_bar_frames_are_built_once(self, monkeypatch):
-        """analyze_statics builds every bar's unit vector and end rows once,
-        for the SVD's matrix and the basis steps both."""
+        """analyze_statics builds every bar's unit vector once, for the SVD's
+        matrix and the basis steps both, and takes the end rows the graph
+        holds."""
         import loopstatics.statics as statics
 
         calls = []
-        for name in ("_bar_frames", "_end_rows"):
-            original = getattr(statics, name)
-            monkeypatch.setattr(statics, name, lambda *args, f=original, n=name:
-                                calls.append(n) or f(*args))
-        summary = analyze_statics(lattice_graph(np.random.default_rng(16), 3))
+        original = statics._bar_frames
+        monkeypatch.setattr(statics, "_bar_frames", lambda g: calls.append(g) or original(g))
+        g = lattice_graph(np.random.default_rng(16), 3)
+        summary = analyze_statics(g)
         assert summary.s == 15
-        assert sorted(calls) == ["_bar_frames", "_end_rows"]
+        assert calls == [g]
 
     def test_no_bars_gives_an_empty_basis(self):
         """A connected frame without bars is one node, which has no rigid-body
@@ -501,7 +504,7 @@ class TestInPlaceBasis:
         a = equilibrium_matrix(g).matrix
         cut = max(1e-9, max(a.shape) * np.finfo(float).eps) * np.linalg.norm(a, 2)
         units, _ = _bar_frames(g)
-        ends = _end_rows(g)
+        ends = g.end_rows
         tracemalloc.start()
         try:
             solve, redundant = _blocked_redundant_bars(units, ends, a.shape[0], cut)
@@ -578,3 +581,34 @@ def test_recovered_forces_rotate_with_the_structure():
     res_rot = all_bar_resultants(state_rot, basis_rot, g_rot)
     for e in g.edge_ids:
         assert np.allclose(res_rot[e].force, rot @ res[e].force, atol=1e-9)
+
+
+_RNGS = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=st.one_of(st.builds(random_connected_graph, _RNGS),
+                       st.builds(lattice_graph, _RNGS, st.sampled_from([3, 4]))))
+def test_loop_space_route_spans_the_null_space(graph):
+    """The paper's route to the axial self-stresses, independent of the
+    equilibrium matrix: each loop carries (u, mid x u) q_g on its generator
+    g, and every tree bar's chain sum must be axial.  Its states number s,
+    their chain-summed bar forces span the SVD's null basis (principal
+    angles at most 1e-9), and without the axial rows the loop space has
+    the welded dimension."""
+    try:
+        summary = analyze_statics(graph)
+    except StructureError:  # fewer than 3 nodes, or all on one line
+        assume(False)
+    basis = fundamental_cycles(graph)
+    welded = ref_loop_space_selfstresses(graph, basis, axial=False)
+    assert welded.shape[2] == selfstress_dimension(graph)
+    rows = ref_loop_space_selfstresses(graph, basis)
+    assert rows.shape[2] == summary.s
+    if not summary.s:
+        return
+    units, _ = ref_bar_frames(graph)
+    forces = np.einsum("ejd,ej->ed", rows[:, :3], units)  # e x s bar forces
+    q = np.linalg.qr(forces)[0]
+    null = summary.null_basis
+    assert np.linalg.norm(q - null.T @ (null @ q), 2) <= 1e-9  # sine of the largest angle
