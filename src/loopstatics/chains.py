@@ -193,10 +193,6 @@ class _FormalSum:
     def keys(self):
         return self._c.keys()
 
-    @property
-    def coefficients(self) -> dict:
-        return dict(self._c)
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

@@ -164,7 +164,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_cycles(args) -> int:
     graph, tree, basis = _load(args)
-    report = build_report(graph, tree=tree, basis=basis, with_statics=False)
+    report = build_report(graph, tree=tree, basis=basis)
     _emit(_report_text(report, args.format), args.out)
     return 0
 
@@ -173,10 +173,8 @@ def _cmd_axial(args) -> int:
     graph, tree, basis = _load(args)
     summary = analyze_statics(graph, rtol=args.tol)
     state = axial_to_state(graph, basis, summary.axial_vector(0)) if summary.s else None
-    report = build_report(
-        graph, tree=tree, basis=basis, summary=summary, state=state,
-        axial_tol=args.tol,
-    )
+    report = build_report(graph, tree=tree, basis=basis, summary=summary, state=state,
+                          tol=args.tol)
     _emit(_report_text(report, args.format), args.out)
     return 0
 
@@ -184,10 +182,7 @@ def _cmd_axial(args) -> int:
 def _cmd_check(args) -> int:
     graph, tree, basis = _load(args)
     state = parse_state(_read_text(args.state))
-    report = build_report(
-        graph, tree=tree, basis=basis, state=state,
-        with_statics=False, axial_tol=args.tol,
-    )
+    report = build_report(graph, tree=tree, basis=basis, state=state, tol=args.tol)
     _emit(_report_text(report, args.format), args.out)
     return 0
 

@@ -56,6 +56,7 @@ def spanning_tree(graph: FrameGraph, root: NodeId | None = None) -> SpanningTree
 
     Starts from `root` (default: smallest node id) and scans each node's
     incident bars in input order, so identical inputs give identical trees.
+    A FrameGraph is connected, so the tree reaches every node.
     """
     if root is None:
         try:
@@ -79,13 +80,6 @@ def spanning_tree(graph: FrameGraph, root: NodeId | None = None) -> SpanningTree
                 depth[other] = depth[u] + 1
                 links[other] = TreeLink(parent=u, edge=edge, sign=1 if tail == u else -1)
                 queue.append(other)
-
-    if len(depth) != graph.v:
-        missing = [n for n in graph.node_ids if n not in depth]
-        raise StructureError(
-            "graph is disconnected; unreachable nodes: "
-            + ", ".join(repr(n) for n in missing)
-        )
     return SpanningTree(
         root=root,
         edge_ids=frozenset(link.edge for link in links.values()),

@@ -21,7 +21,7 @@ from .chains import FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
 from .selfstress import SelfStressState, _judged_bars
-from .synthesis import _normal_form_loops, _triangles
+from .synthesis import _A, _B, _normal_form_loops, _triangles
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,10 @@ def realize_state(
     moment are within tol of the state's scales, get no loop.  With
     share_vertex, every loop is translated so its first vertex lands on a
     common central node (translation does not change any projected area).
-    All loops are built at once as vertex arrays.
+    All loops are built at once as vertex arrays; a loop whose written
+    vertices have lost its areas to rounding is refused (`_check_loops`).
     """
-    b, mids, parallel, matches, _, zero = _judged_bars(state, basis, graph, tol)
+    b, mids, parallel, matches, _, zero, scales = _judged_bars(state, basis, graph, tol)
     if per == "bar":
         names, rows = [f"bar_{bar}" for bar in graph.edge_ids], np.arange(graph.e)
     elif per == "cycle":
@@ -88,36 +89,52 @@ def realize_state(
     sizes = np.full(len(rows), 3)
     sizes[general] = np.where(simple, 3, 6)
     vertices = loops[np.arange(6) < sizes[:, None]]
-    _check_loops(names, vertices, sizes)
     if share_vertex:
         first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each item's first vertex
         vertices = vertices + (0.0 - vertices[first])
-        _check_loops(names, vertices, sizes)
+    # what each loop carries, over 2**shift: its row, less a triangle's
+    # moment along its normal, which no loop in the normal plane can carry
+    carried = np.ldexp(b, scales[0])
+    normals = b[axial, :3] / f_norms[:, None]
+    carried[axial, 3:] -= (carried[axial, 3:] * normals).sum(axis=1)[:, None] * normals
+    _check_loops(names, vertices, sizes, carried, scales)
     vertex_rows = iter(map(tuple, vertices.tolist()))
     return RealizedDiagram(tuple(
         (name, list(islice(vertex_rows, size))) for name, size in zip(names, sizes.tolist())
     ))
 
 
-def _check_loops(names, vertices, sizes) -> None:
+# A written loop may carry areas off from its resultant's by at most this
+# share of the state's force scale (force areas) or moment scale (moment
+# areas): more is lost to rounding of its vertices, not a drawing.
+AREA_TOL = 1e-6
+
+
+def _check_loops(names, vertices, sizes, carried, scales) -> None:
     """Reject the first loop, in output order, that has a non-finite
-    coordinate, fewer than 3 vertices, consecutive vertices that coincide,
-    or vertices that differ in one coordinate only, which leaves no area
-    in any plane; at finite coordinates only rounding can cause the last
-    two.  `vertices` holds every loop's rows back to back, and `sizes`
-    the loops' lengths, one loop per name."""
+    coordinate, consecutive vertices that coincide, or shoelace areas, from
+    its vertices as written, more than AREA_TOL times the state's scales
+    off what it carries; at finite coordinates only rounding causes the
+    last two.  `vertices` holds the loops' rows back to back, `sizes` their
+    lengths, one per name; `carried` holds their areas over 2**shift, for
+    `scales` = (shift, force scale, moment scale)."""
     if not len(sizes):
         return
-    if sizes.min() < 3:
-        raise StructureError("a loop needs at least 3 vertices")
     starts = np.cumsum(sizes) - sizes
     following = np.arange(1, len(vertices) + 1)
     following[starts + sizes - 1] = starts
     nonfinite = ~np.isfinite(vertices)
     coincide = (vertices == vertices[following]).all(axis=1)
-    varied = np.logical_or.reduceat(vertices != vertices[np.repeat(starts, sizes)], starts)
-    flat = varied.sum(axis=1) < 2
-    bad = np.logical_or.reduceat(nonfinite.any(axis=1) | coincide, starts) | flat
+    # each vertex about its loop's first, so the areas do not lose the
+    # loop's bits to its distance from the origin
+    d = vertices - vertices[np.repeat(starts, sizes)]
+    nxt = d[following]
+    areas = 0.5 * np.add.reduceat(d[:, _A] * nxt[:, _B] - d[:, _B] * nxt[:, _A], starts)
+    shift, f_scale, m_scale = scales
+    off = np.ldexp(areas, shift) - carried
+    wrong = (np.linalg.norm(off[:, :3], axis=1) > AREA_TOL * f_scale) | \
+        (np.linalg.norm(off[:, 3:], axis=1) > AREA_TOL * m_scale)
+    bad = np.logical_or.reduceat(nonfinite.any(axis=1) | coincide, starts) | wrong
     if not bad.any():
         return
     first = int(np.argmax(bad))
@@ -125,7 +142,7 @@ def _check_loops(names, vertices, sizes) -> None:
     if nonfinite[rows].any():
         raise StructureError(f"non-finite coordinate {'xyzh'[np.argwhere(nonfinite[rows])[0, 1]]}")
     why = "consecutive vertices coincide" if coincide[rows].any() else \
-        "its vertices differ in one coordinate only"
+        f"its areas are off by more than {AREA_TOL:g} of the state's scale"
     raise StructureError(f"loop {names[first]} collapsed under rounding at these "
                          f"coordinates: {why}")
 

@@ -1,8 +1,8 @@
 """Analysis reports: counts, cycle basis, statics summary, resultant tables.
 
-Reports are plain dicts rendered to deterministic JSON; the counting
-identities (cycle count = e - v + 1 and s - m = e - 3v + 6) are asserted
-at build time so an inconsistent report can never be emitted.
+Reports are written as deterministic JSON, one table row at a time; the
+counting identities (cycle count = e - v + 1 and s - m = e - 3v + 6) are
+asserted at build time so an inconsistent report can never be emitted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .chains import FrameGraph
 from .cycles import FundamentalCycle, SpanningTree, fundamental_cycles, spanning_tree
 from .errors import StateError
 from .selfstress import SelfStressState, _judged_bars, _node_array, selfstress_dimension
-from .statics import StaticsSummary, analyze_statics
+from .statics import StaticsSummary
 
 REPORT_FORMAT = "frame-report/1"
 
@@ -52,49 +52,28 @@ class AnalysisReport:
             if s - m != c["e"] - 3 * c["v"] + 6:
                 raise StateError("report inconsistency: s - m != e - 3v + 6")
 
-    def _document(self, tables: dict) -> dict:
-        """The report around its list-valued tables, taken from `tables`."""
+    def _document(self) -> dict:
+        """The report with every list-valued table empty: the skeleton
+        that `json_pieces` fills."""
         statics = self.statics
         if self.null_basis is not None:
-            statics = {**statics, "selfstress_basis": tables["selfstress_basis"]}
+            statics = {**statics, "selfstress_basis": []}
         return {
             "format": REPORT_FORMAT,
             "conventions": CONVENTIONS,
             "counts": self.counts,
             "tree": self.tree,
-            "cycles": tables["cycles"],
+            "cycles": [],
             "statics": statics,
-            "bar_resultants": tables["bar_resultants"],
-            "node_residuals": tables["node_residuals"],
-            "axial_check": tables["axial_check"],
+            "bar_resultants": [],
+            "node_residuals": [],
+            "axial_check": [],
         }
 
-    def to_dict(self) -> dict:
-        """The report as plain JSON values; each null-basis vector is a
-        list of [bar, value] pairs in bar input order.  The tables without
-        a state are empty."""
-        tables = {key: [] for key in _TABLES}
-        tables["cycles"] = self.cycles
-        if self.null_basis is not None:
-            tables["selfstress_basis"] = [
-                [[e, x] for e, x in zip(self.edge_ids, row)] for row in self.null_basis.tolist()
-            ]
-        if self.bar_table is not None:
-            bars = self.bar_table.tolist()
-            verdicts = self.verdicts.tolist()
-            tables["bar_resultants"] = [_bar_row(e, *r) for e, r in zip(self.edge_ids, bars)]
-            tables["node_residuals"] = [
-                _node_row(n, *r) for n, r in zip(self.node_ids, self.node_table.tolist())
-            ]
-            tables["axial_check"] = [
-                _check_row(e, p and m, p, m, r[6])
-                for e, (p, m), r in zip(self.edge_ids, verdicts, bars)
-            ]
-        return self._document(tables)
-
     def to_json(self) -> str:
-        """Byte for byte `json.dumps(self.to_dict(), indent=2, allow_nan=False)`
-        plus a newline: the pieces of `json_pieces`, joined."""
+        """The report's JSON in the stdlib's `indent=2` layout plus a
+        newline, so `json.dumps(json.loads(text), indent=2, allow_nan=False)
+        + "\n"` is the text again: the pieces of `json_pieces`, joined."""
         return "".join(self.json_pieces())
 
     def json_pieces(self):
@@ -110,8 +89,8 @@ class AnalysisReport:
         for table in (self.bar_table, self.node_table, self.null_basis):
             if table is not None and not np.isfinite(table).all():
                 raise ValueError("Out of range float values are not JSON compliant")
-        empty = self._document({key: [] for key in _TABLES})
-        return _splice(json.dumps(empty, indent=2, allow_nan=False) + "\n", self._table_rows())
+        skeleton = json.dumps(self._document(), indent=2, allow_nan=False) + "\n"
+        return _splice(skeleton, self._table_rows())
 
     def _table_rows(self) -> list:
         """(key, indent of the key, iterator of row texts) of each table in
@@ -174,29 +153,6 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-# The report's list-valued tables; the rows of each are built by one
-# function, which also lays out its serializer's template.
-_TABLES = ("cycles", "selfstress_basis", "bar_resultants", "node_residuals", "axial_check")
-
-
-def _cycle_row(generator, chain: list) -> dict:
-    return {"generator": generator, "chain": chain}
-
-
-def _bar_row(bar, fx, fy, fz, mx, my, mz, axial_force) -> dict:
-    return {"bar": bar, "force": [fx, fy, fz], "total_moment": [mx, my, mz],
-            "axial_force": axial_force}
-
-
-def _node_row(node, fx, fy, fz, mx, my, mz) -> dict:
-    return {"node": node, "force": [fx, fy, fz], "moment": [mx, my, mz]}
-
-
-def _check_row(bar, is_axial, parallel, matches, axial_force) -> dict:
-    return {"bar": bar, "is_axial": is_axial, "force_parallel": parallel,
-            "moment_matches": matches, "axial_force": axial_force}
-
-
 def _layout(row, depth: int) -> str:
     """json.dumps(row, indent=2) as the text of a list item `depth` spaces
     deep, its first line unindented, with each "%s" or "%r" string turned
@@ -207,10 +163,12 @@ def _layout(row, depth: int) -> str:
 
 # Rows are items of top-level lists, 4 spaces deep; [bar, value] pairs are
 # items of a cycle's chain or of a null-basis vector, 8 spaces deep.
-_CYCLE_ROW = _layout(_cycle_row("%s", ["%s"]), 4)
-_BAR_ROW = _layout(_bar_row("%s", *["%r"] * 7), 4)
-_NODE_ROW = _layout(_node_row("%s", *["%r"] * 6), 4)
-_CHECK_ROW = _layout(_check_row("%s", "%s", "%s", "%s", "%r"), 4)
+_CYCLE_ROW = _layout({"generator": "%s", "chain": ["%s"]}, 4)
+_BAR_ROW = _layout({"bar": "%s", "force": ["%r"] * 3, "total_moment": ["%r"] * 3,
+                    "axial_force": "%r"}, 4)
+_NODE_ROW = _layout({"node": "%s", "force": ["%r"] * 3, "moment": ["%r"] * 3}, 4)
+_CHECK_ROW = _layout({"bar": "%s", "is_axial": "%s", "force_parallel": "%s",
+                      "moment_matches": "%s", "axial_force": "%r"}, 4)
 _PAIR = _layout(["%s", "%s"], 8)
 
 
@@ -257,37 +215,35 @@ def build_report(
     basis: list | None = None,
     summary: StaticsSummary | None = None,
     state: SelfStressState | None = None,
-    rtol: float = 1e-9,
-    with_statics: bool = True,
-    axial_tol: float = 1e-9,
+    tol: float = 1e-9,
 ) -> AnalysisReport:
-    """Assemble a report; missing pieces are computed on demand."""
+    """Assemble a report, with statics when `summary` is given and bar,
+    node and verdict tables, judged at relative tolerance `tol`, when
+    `state` is; a missing tree or basis is computed."""
     if tree is None:
         tree = spanning_tree(graph)
     if basis is None:
         basis = fundamental_cycles(graph, tree)
-    statics: dict = {}
-    if with_statics:
-        if summary is None:
-            summary = analyze_statics(graph, rtol=rtol)
+    statics = {}
+    if summary is not None:
         statics = {key: getattr(summary, key) for key in ("s", "m", "rank", "sigma_min")}
     counts = {"v": graph.v, "e": graph.e, "cycles": len(basis),
               "selfstress_dimension": selfstress_dimension(graph)}
     bar_table = verdicts = node_table = None
     if state is not None:
-        b, _, parallel, matches, axial, _ = _judged_bars(state, basis, graph, axial_tol)
+        b, _, parallel, matches, axial, _, _ = _judged_bars(state, basis, graph, tol)
         bar_table = np.column_stack([b, axial])
         verdicts = np.column_stack([parallel, matches])
         node_table = _node_array(graph, b)
     return AnalysisReport(
         counts=counts,
         tree={"root": tree.root, "edges": sorted(tree.edge_ids, key=str)},
-        cycles=[_cycle_row(c.generator, _chain_rows(c)) for c in basis],
+        cycles=[{"generator": c.generator, "chain": _chain_rows(c)} for c in basis],
         statics=statics,
         edge_ids=graph.edge_ids,
         node_ids=graph.node_ids,
         bar_table=bar_table,
         verdicts=verdicts,
         node_table=node_table,
-        null_basis=summary.null_basis if with_statics else None,
+        null_basis=None if summary is None else summary.null_basis,
     )

@@ -134,11 +134,13 @@ def _axial_verdicts(b: np.ndarray, units, mids, tol: float):
     A bar's force must be parallel to it, and its total moment must equal
     midpoint x force, each within tol times the largest bar force, or the
     largest max(|m|, |r| |f|), among the bars judged.  Returns
-    (force_parallel, moment_matches, axial_force, zero); tension is
+    (force_parallel, moment_matches, axial_force, zero, scales); tension is
     positive, and a Zero Bar is one whose force and moment are themselves
     within those bounds.  Norms are taken of the rows over one power of
-    two, which brings the largest entry of b near 1: exact, so the verdicts
-    do not change when the state is scaled, and no square underflows.
+    two, 2**shift, which brings the largest entry of b near 1: exact, so
+    the verdicts do not change when the state is scaled, and no square
+    underflows.  scales is (shift, force scale, moment scale), the two
+    largest norms over 2**shift.
     """
     forces, moments = b[:, :3], b[:, 3:]
     shift = -np.frexp(np.abs(b).max(initial=0.0))[1]
@@ -153,16 +155,16 @@ def _axial_verdicts(b: np.ndarray, units, mids, tol: float):
     m_own = np.maximum(m_norm, lever)
     perp = norms(forces - axial[:, None] * units)
     m_err = norms(moments - np.cross(mids, forces))
-    bound_f = tol * f_norm.max(initial=0.0)
-    bound_m = tol * m_own.max(initial=0.0)
+    f_scale, m_scale = f_norm.max(initial=0.0), m_own.max(initial=0.0)
+    bound_f, bound_m = tol * f_scale, tol * m_scale
     zero = (f_norm <= bound_f) & (m_norm <= bound_m)
-    return perp <= bound_f, m_err <= bound_m, axial, zero
+    return perp <= bound_f, m_err <= bound_m, axial, zero, (shift, f_scale, m_scale)
 
 
 def _judged_bars(state: SelfStressState, basis: list, graph: FrameGraph, tol: float):
     """Chain summation, bar frames and axial verdicts of every bar:
-    (b, mids, force_parallel, moment_matches, axial_force, zero), with b
-    as `_bar_array` and the rest as `_axial_verdicts` give them."""
+    (b, mids, force_parallel, moment_matches, axial_force, zero, scales),
+    with b as `_bar_array` and the rest as `_axial_verdicts` give them."""
     b = _bar_array(state, basis, graph)
     units, mids = _bar_frames(graph)
     return (b, mids, *_axial_verdicts(b, units, mids, tol))
@@ -200,7 +202,7 @@ def check_axial(
     A bar passes when its force is parallel to the bar and its total moment
     equals midpoint x force, i.e. its internal bending and torsion vanish.
     """
-    _, _, parallel, matches, axial, _ = _judged_bars(state, basis, graph, tol)
+    _, _, parallel, matches, axial, _, _ = _judged_bars(state, basis, graph, tol)
     return {
         bar: AxialCheck(bar, bool(parallel[i]), bool(matches[i]), float(axial[i]))
         for i, bar in enumerate(graph.edge_ids)

@@ -30,19 +30,18 @@ _A, _B = np.array(_PLANES).T
 
 def _in_plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right-handed in-plane frames (t1, t2, normal) for k x 3 unit normals;
-    t1 follows the smallest-index coordinate axis that projects
-    non-degenerately.  Each projection's length is the scalar BLAS norm of
-    its own row, as the triangles' bits depend on it."""
+    t1 follows the x axis's projection unless it is degenerate, and then the
+    y axis's, which is not for a unit normal.  Each projection's length is
+    the scalar BLAS norm of its own row, as the triangles' bits depend on
+    it."""
     t1 = np.empty_like(normals)
     todo = np.arange(len(normals))
-    for axis in range(3):
+    for axis in range(2):
         w = np.eye(3)[axis] - normals[todo, axis, None] * normals[todo]
         norms = np.array([np.linalg.norm(row) for row in w])
         done = norms > 1e-8
         t1[todo[done]] = w[done] / norms[done, None]
         todo = todo[~done]
-    if len(todo):
-        raise StructureError("degenerate normal")  # unreachable for unit normals
     return t1, np.cross(normals, t1)
 
 

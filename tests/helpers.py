@@ -206,7 +206,7 @@ def ref_axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray):
 def ref_realize_loops(graph, basis, state, per="bar", tol=1e-9, share_vertex=False):
     """(name, LoopPath) pairs as realize_state builds them, one loop at a
     time."""
-    b, mids, parallel, matches, _, zero = _judged_bars(state, basis, graph, tol)
+    b, mids, parallel, matches, _, zero, _ = _judged_bars(state, basis, graph, tol)
     if per == "bar":
         items = [(f"bar_{bar}", i) for i, bar in enumerate(graph.edge_ids)]
     else:

@@ -157,6 +157,21 @@ class TestTinyStates:
         assert err.startswith("error: loop bar_") and err.count("\n") == 1, err
         assert "collapsed under rounding" in err
 
+    def test_a_loop_whose_areas_round_away_is_refused(self, k5_path, tmp_path):
+        """Loop o01 alone at 2^-600, anchored at (1, 0, 0): its x offsets
+        round away while y, z and h keep theirs, so no vertices coincide,
+        yet its ki, ij and ih areas are lost."""
+        state = _k5_state("general")
+        path = tmp_path / "o01.json"
+        path.write_text(serialize_state(SelfStressState({
+            c: b if c == "o01" else Bivector6() for c, b in state.resultants.items()
+        }) * 2.0 ** -600))
+        code, out, err = run("export", k5_path, "--state", path, "--loops", "cycles",
+                             "--out-dir", tmp_path / "d")
+        assert code == 2 and out == ""
+        assert err.startswith("error: loop cycle_o01 collapsed under rounding"), err
+        assert err.count("\n") == 1 and "areas" in err, err
+
 
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from loopstatics import (
     AxialForceVector,
+    StructureError,
     Bivector6,
     LoopPath,
     Point4,
@@ -28,12 +29,14 @@ from loopstatics import (
     serialize_structure,
 )
 from loopstatics.cli import main
-from loopstatics.diagrams import force_diagram_text, form_diagram_text
+from loopstatics.diagrams import AREA_TOL, force_diagram_text, form_diagram_text
 from loopstatics.document import document_from_graph
+from loopstatics.selfstress import _judged_bars
 
 from helpers import (
     item_area,
     lattice_graph,
+    random_connected_graph,
     random_state,
     ref_force_diagram_text,
     ref_realize_loops,
@@ -289,3 +292,39 @@ def test_cli_export_builds_no_loop_objects(tmp_path, monkeypatch):
     for name, (_, options) in runs.items():
         ref_loops = ref_realize_loops(g, basis, state, **options)
         assert (tmp_path / name / "force.obj").read_text() == ref_force_diagram_text(ref_loops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
+       state_kind=st.sampled_from(["general", "axial", "mixed"]),
+       per=st.sampled_from(["bar", "cycle"]),
+       share_vertex=st.booleans())
+def test_every_loop_carries_its_resultant_within_the_area_rule(
+        seed, lattice, state_kind, per, share_vertex):
+    """realize_state refuses no state on these frames, and each loop's
+    areas are what it carries, within AREA_TOL of the state's scales: its
+    resultant, less a triangle's moment along the bar's force."""
+    rng = np.random.default_rng(seed)
+    g = lattice_graph(rng, 3) if lattice else random_connected_graph(rng)
+    basis = fundamental_cycles(g)
+    try:
+        state = _mixed_state(rng, g, basis, state_kind)
+    except StructureError:  # no statics with fewer than 3 nodes off one line
+        state = _mixed_state(rng, g, basis, "general")
+    realized = realize_state(g, basis, state, per=per, share_vertex=share_vertex)
+    b, _, parallel, matches, _, zero, (shift, f_scale, m_scale) = \
+        _judged_bars(state, basis, g, 1e-9)
+    if per == "bar":
+        rows = {f"bar_{e}": i for i, e in enumerate(g.edge_ids)}
+    else:
+        rows = {f"cycle_{c.generator}": g.columns[c.generator] for c in basis}
+    assert [name for name, _ in realized.items] == [n for n, i in rows.items() if not zero[i]]
+    for name, vertices in realized.items:
+        i = rows[name]
+        carried = b[i].copy()
+        if parallel[i] and matches[i]:
+            normal = carried[:3] / np.linalg.norm(carried[:3])
+            carried[3:] -= (carried[3:] @ normal) * normal
+        off = item_area(vertices).components() - carried
+        assert np.linalg.norm(off[:3]) <= AREA_TOL * np.ldexp(f_scale, -shift), name
+        assert np.linalg.norm(off[3:]) <= AREA_TOL * np.ldexp(m_scale, -shift), name

@@ -1,5 +1,6 @@
-"""The report serializer: `to_json` writes the null basis from its array,
-and must give exactly the text of the stdlib encoder on `to_dict`."""
+"""The report serializer: `to_json` writes every table from the report's
+arrays, in exactly the layout that the stdlib encoder gives the same
+values, and the values it writes are the arrays'."""
 
 import dataclasses
 import io
@@ -56,12 +57,60 @@ def _state(g, kind: str):
     return None if kind == "none" else random_state(np.random.default_rng(21), basis)
 
 
-def assert_serializers_agree(report, same_values=True):
+def _json(value):
+    """A value as it reads back from JSON: tuples become lists."""
+    return json.loads(json.dumps(value))
+
+
+def _bits(rows) -> bytes:
+    """The float64 bits of a table, so that -0.0 is not 0.0."""
+    return np.ascontiguousarray(rows, dtype=float).tobytes()
+
+
+# The report's keys, and each table's row keys, in the order written.
+_DOCUMENT_KEYS = ["format", "conventions", "counts", "tree", "cycles", "statics",
+                  "bar_resultants", "node_residuals", "axial_check"]
+_ROW_KEYS = {
+    "cycles": ["generator", "chain"],
+    "bar_resultants": ["bar", "force", "total_moment", "axial_force"],
+    "node_residuals": ["node", "force", "moment"],
+    "axial_check": ["bar", "is_axial", "force_parallel", "moment_matches", "axial_force"],
+}
+
+
+def assert_serializers_agree(report):
+    """The report's text is the stdlib's indented layout of what it parses
+    to, and what it parses to is the report's arrays, bit for bit."""
     text = report.to_json()
     assert isinstance(text, str)
-    assert text == json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
-    if same_values:
-        assert json.loads(text) == report.to_dict()
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2, allow_nan=False) + "\n" == text
+    assert list(doc) == _DOCUMENT_KEYS
+    assert all(list(row) == keys for table, keys in _ROW_KEYS.items() for row in doc[table])
+    bar_ids, node_ids = _json(report.edge_ids), _json(report.node_ids)
+    assert doc["counts"] == report.counts and doc["tree"] == _json(report.tree)
+    assert doc["cycles"] == _json(report.cycles)
+    statics = dict(doc["statics"])
+    basis = statics.pop("selfstress_basis", None)
+    assert statics == report.statics
+    if report.null_basis is None:
+        assert basis is None
+    else:
+        assert all([pair[0] for pair in vector] == bar_ids for vector in basis)
+        values = [[pair[1] for pair in vector] for vector in basis]
+        assert _bits(values) == _bits(report.null_basis)
+    if report.bar_table is None:
+        assert doc["bar_resultants"] == doc["node_residuals"] == doc["axial_check"] == []
+        return
+    bars, checks, nodes = doc["bar_resultants"], doc["axial_check"], doc["node_residuals"]
+    assert [row["bar"] for row in bars] == [row["bar"] for row in checks] == bar_ids
+    assert _bits([r["force"] + r["total_moment"] + [r["axial_force"]] for r in bars]) \
+        == _bits(report.bar_table)
+    assert _bits([r["axial_force"] for r in checks]) == _bits(report.bar_table[:, 6])
+    assert [[r["force_parallel"], r["moment_matches"], r["is_axial"]] for r in checks] \
+        == [[p, m, p and m] for p, m in report.verdicts.tolist()]
+    assert [row["node"] for row in nodes] == node_ids
+    assert _bits([r["force"] + r["moment"] for r in nodes]) == _bits(report.node_table)
 
 
 @pytest.mark.parametrize("names", list(_NAMES))
@@ -69,10 +118,10 @@ def assert_serializers_agree(report, same_values=True):
 @pytest.mark.parametrize("kind", list(_FRAMES))
 def test_to_json_is_the_stdlib_encoding_of_to_dict(kind, state, names):
     g = _frame(kind, names)
-    report = build_report(g, state=_state(g, state))
-    basis = report.to_dict()["statics"]["selfstress_basis"]
-    assert len(basis) == analyze_statics(g).s
-    assert all([pair[0] for pair in vector] == list(g.edge_ids) for vector in basis)
+    summary = analyze_statics(g)
+    report = build_report(g, summary=summary, state=_state(g, state))
+    basis = json.loads(report.to_json())["statics"]["selfstress_basis"]
+    assert len(basis) == summary.s
     assert_serializers_agree(report)
 
 
@@ -80,8 +129,8 @@ def test_to_json_is_the_stdlib_encoding_of_to_dict(kind, state, names):
 def test_without_statics(kind):
     g = _frame(kind, "escapes")
     for state in ("none", "general"):
-        report = build_report(g, state=_state(g, state), with_statics=False)
-        assert report.to_dict()["statics"] == {}
+        report = build_report(g, state=_state(g, state))
+        assert json.loads(report.to_json())["statics"] == {}
         assert_serializers_agree(report)
 
 
@@ -113,15 +162,16 @@ def _check_state(g, kind: str):
 @pytest.mark.parametrize("kind", ["k5", "critical-prism", "lattice"])
 def test_check_reports_serialize_like_the_stdlib(kind, state, names):
     g = _frame(kind, names)
-    report = build_report(g, state=_check_state(g, state), with_statics=False)
+    report = build_report(g, state=_check_state(g, state))
     assert_serializers_agree(report)
-    verdicts = {row["is_axial"] for row in report.to_dict()["axial_check"]}
+    verdicts = {row["is_axial"] for row in json.loads(report.to_json())["axial_check"]}
     assert verdicts == {"axial": {True}, "mixed": {True, False}}.get(state, verdicts)
     assert "np.float64(" not in report.to_json() + report.to_text()
 
 
 def test_negative_zeros_and_both_verdicts_keep_their_text():
-    report = build_report(k5_frame(), state=_check_state(k5_frame(), "mixed"))
+    report = build_report(k5_frame(), summary=analyze_statics(k5_frame()),
+                          state=_check_state(k5_frame(), "mixed"))
     bars, nodes = report.bar_table.copy(), report.node_table.copy()
     bars[0, :] = -0.0
     nodes[1, 3:] = -0.0
@@ -131,38 +181,41 @@ def test_negative_zeros_and_both_verdicts_keep_their_text():
     assert_serializers_agree(report)
 
 
+def _assert_rejected_like_the_stdlib(report, bad):
+    """`to_json` refuses a report with a non-finite entry in `bad`, one of
+    its tables, with the stdlib's error for that table's values."""
+    with pytest.raises(ValueError, match="JSON compliant"):
+        json.dumps(bad.tolist(), allow_nan=False)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        report.to_json()
+
+
 @pytest.mark.parametrize("table", ["bar_table", "node_table"])
 def test_non_finite_table_is_rejected_like_the_stdlib(table):
     report = build_report(k5_frame(), state=_check_state(k5_frame(), "general"))
     bad = getattr(report, table).copy()
     bad[1, 2] = np.inf
     report = dataclasses.replace(report, **{table: bad})
-    with pytest.raises(ValueError, match="JSON compliant"):
-        json.dumps(report.to_dict(), allow_nan=False)
-    with pytest.raises(ValueError, match="JSON compliant"):
-        report.to_json()
+    _assert_rejected_like_the_stdlib(report, bad)
 
 
 def test_tuple_bar_ids_are_indented_as_nested_lists():
     # JSON turns tuple ids into lists, so only the text is compared
     g = int_k5()
-    report = build_report(g, state=random_state(np.random.default_rng(24),
-                                                fundamental_cycles(g)))
+    report = build_report(g, summary=analyze_statics(g),
+                          state=random_state(np.random.default_rng(24), fundamental_cycles(g)))
     assert '"selfstress_basis": [\n      [\n        [\n          [\n            0,' \
         in report.to_json()
     assert '"bar": [\n        0,\n        1\n      ],' in report.to_json()
-    assert_serializers_agree(report, same_values=False)
+    assert_serializers_agree(report)
 
 
 def test_non_finite_basis_is_rejected_like_the_stdlib():
-    report = build_report(k5_frame())
+    report = build_report(k5_frame(), summary=analyze_statics(k5_frame()))
     bad = report.null_basis.copy()
     bad[0, 3] = np.nan
     report = dataclasses.replace(report, null_basis=bad)
-    with pytest.raises(ValueError, match="JSON compliant"):
-        json.dumps(report.to_dict(), allow_nan=False)
-    with pytest.raises(ValueError, match="JSON compliant"):
-        report.to_json()
+    _assert_rejected_like_the_stdlib(report, bad)
 
 
 @settings(max_examples=20, deadline=None)
@@ -172,7 +225,7 @@ def test_random_lattices_serialize_alike(seed, side, names, state):
     g = lattice_graph(np.random.default_rng(seed), side)
     if _NAMES[names] is not None:
         g = relabel_bars(g, _NAMES[names])
-    assert_serializers_agree(build_report(g, state=_state(g, state)))
+    assert_serializers_agree(build_report(g, summary=analyze_statics(g), state=_state(g, state)))
 
 
 def test_report_file_is_the_stdout_text(tmp_path):
@@ -195,7 +248,7 @@ def _cli_report(g, command: str, state):
         summary = analyze_statics(g)
         axial = axial_to_state(g, basis, summary.axial_vector(0)) if summary.s else None
         return build_report(g, basis=basis, summary=summary, state=axial)
-    return build_report(g, basis=basis, state=state, with_statics=False)
+    return build_report(g, basis=basis, state=state)
 
 
 @pytest.mark.parametrize("command", ["axial", "cycles", "check"])
