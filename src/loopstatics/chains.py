@@ -11,6 +11,7 @@ arithmetic is exact integer arithmetic.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -72,6 +73,7 @@ class FrameGraph:
         # The frame as read-only arrays, built once: node positions (v x 3)
         # in node_ids order and every bar's (tail, head) node rows (e x 2) in
         # edge_ids order; `columns` maps a bar id to its row of end_rows.
+        # The bars' `units` and `midpoints` are built at first use.
         self.positions = np.array(coords)
         self.end_rows = np.array(
             [rows[end] for pair in ends.values() for end in pair], dtype=int
@@ -163,6 +165,29 @@ class FrameGraph:
     def midpoint(self, edge: EdgeId) -> np.ndarray:
         tail, head = self._end_positions(edge)
         return 0.5 * (tail + head)
+
+    @cached_property
+    def units(self) -> np.ndarray:
+        """Read-only unit vectors tail -> head of every bar (e x 3), built at
+        first use; each length is one scalar dot product's square root, as in
+        `direction`, to the bit.  Coincident endpoints are an error."""
+        tail, head = self.positions[self.end_rows.T]
+        d = head - tail
+        lengths = np.sqrt([x.dot(x) for x in d])
+        if not lengths.all():
+            bar = self.edge_ids[int(np.argmin(lengths != 0.0))]
+            raise StructureError(f"bar {bar!r} has coincident endpoints")
+        units = d / lengths[:, None]
+        units.flags.writeable = False
+        return units
+
+    @cached_property
+    def midpoints(self) -> np.ndarray:
+        """Read-only midpoints of every bar (e x 3), built at first use."""
+        tail, head = self.positions[self.end_rows.T]
+        mids = 0.5 * (tail + head)
+        mids.flags.writeable = False
+        return mids
 
     def __repr__(self) -> str:
         return f"FrameGraph(v={self.v}, e={self.e})"

@@ -21,7 +21,8 @@ from .chains import FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
 from .selfstress import SelfStressState, _judged_bars
-from .synthesis import _A, _B, _normal_form_loops, _triangles
+from .synthesis import _normal_form_loops, _triangles
+from .wedge import _shoelace
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,11 @@ def realize_state(
 
     Bars that pass the axial test, judged together over the whole state,
     become flat triangles normal to their bar.  Any other resultant becomes
-    the loop of its normal form, anchored at the bar's midpoint: 3 vertices
-    when its bivector is simple, 6 when not.  Zero Bars, whose force and
-    moment are within tol of the state's scales, get no loop.  With
-    share_vertex, every loop is translated so its first vertex lands on a
-    common central node (translation does not change any projected area).
+    the loop of its normal form: 3 vertices when its bivector is simple, 6
+    when not.  Zero Bars, whose force and moment are within tol of the
+    state's scales, get no loop.  Each loop is built about the origin, then
+    moved to its bar's midpoint or, with share_vertex, to put its first
+    vertex on a common node, the origin; no translation changes an area.
     All loops are built at once as vertex arrays; a loop whose written
     vertices have lost its areas to rounding is refused (`_check_loops`).
     """
@@ -83,15 +84,14 @@ def realize_state(
     # so that its square cannot underflow; its norm is scaled back exactly
     exps = np.frexp(np.abs(b[axial, :3]).max(axis=1))[1]
     f_norms = np.ldexp([np.linalg.norm(f) for f in np.ldexp(b[axial, :3], -exps[:, None])], exps)
-    loops[axial, :3] = _triangles(mids[axial], b[axial, :3], b[axial, 3:], f_norms)
-    anchors = np.column_stack([mids[general], np.zeros(general.sum())])
-    loops[general], simple = _normal_form_loops(anchors, b[general])
+    loops[axial, :3] = _triangles(b[axial, :3], b[axial, 3:], f_norms)
+    loops[general], simple = _normal_form_loops(b[general])
     sizes = np.full(len(rows), 3)
     sizes[general] = np.where(simple, 3, 6)
     vertices = loops[np.arange(6) < sizes[:, None]]
-    if share_vertex:
-        first = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each item's first vertex
-        vertices = vertices + (0.0 - vertices[first])
+    anchors = -vertices[np.cumsum(sizes) - sizes] if share_vertex else \
+        np.column_stack([mids, np.zeros(len(rows))])
+    vertices = vertices + np.repeat(anchors, sizes, axis=0)
     # what each loop carries, over 2**shift: its row, less a triangle's
     # moment along its normal, which no loop in the normal plane can carry
     carried = np.ldexp(b, scales[0])
@@ -120,16 +120,9 @@ def _check_loops(names, vertices, sizes, carried, scales) -> None:
     `scales` = (shift, force scale, moment scale)."""
     if not len(sizes):
         return
-    starts = np.cumsum(sizes) - sizes
-    following = np.arange(1, len(vertices) + 1)
-    following[starts + sizes - 1] = starts
+    areas, starts, following = _shoelace(vertices, sizes)
     nonfinite = ~np.isfinite(vertices)
     coincide = (vertices == vertices[following]).all(axis=1)
-    # each vertex about its loop's first, so the areas do not lose the
-    # loop's bits to its distance from the origin
-    d = vertices - vertices[np.repeat(starts, sizes)]
-    nxt = d[following]
-    areas = 0.5 * np.add.reduceat(d[:, _A] * nxt[:, _B] - d[:, _B] * nxt[:, _A], starts)
     shift, f_scale, m_scale = scales
     off = np.ldexp(areas, shift) - carried
     wrong = (np.linalg.norm(off[:, :3], axis=1) > AREA_TOL * f_scale) | \

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chains import EdgeId, FrameGraph
 from .cycles import FundamentalCycle
-from .errors import StateError, StructureError
+from .errors import StateError
 from .wedge import ZERO_BIVECTOR, Bivector6, force_of, moment_of
 
 
@@ -113,20 +113,6 @@ def _node_array(graph: FrameGraph, b: np.ndarray) -> np.ndarray:
     return n
 
 
-def _bar_frames(graph: FrameGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Unit direction and midpoint of every bar (e x 3 each), bit for bit
-    `graph.direction` and `graph.midpoint`: each length is the square root
-    of one scalar dot product, as np.linalg.norm takes it; row-wise norms
-    can differ in the last bit."""
-    tail, head = graph.positions[graph.end_rows.T]
-    d = head - tail
-    lengths = np.sqrt([x.dot(x) for x in d])
-    if not lengths.all():
-        bar = graph.edge_ids[int(np.argmin(lengths != 0.0))]
-        raise StructureError(f"bar {bar!r} has coincident endpoints")
-    return d / lengths[:, None], 0.5 * (tail + head)
-
-
 def _axial_verdicts(b: np.ndarray, units, mids, tol: float):
     """The axial test for bars judged together, as arrays, given their
     e x 6 (force, total moment) rows.
@@ -166,8 +152,7 @@ def _judged_bars(state: SelfStressState, basis: list, graph: FrameGraph, tol: fl
     (b, mids, force_parallel, moment_matches, axial_force, zero, scales),
     with b as `_bar_array` and the rest as `_axial_verdicts` give them."""
     b = _bar_array(state, basis, graph)
-    units, mids = _bar_frames(graph)
-    return (b, mids, *_axial_verdicts(b, units, mids, tol))
+    return (b, graph.midpoints, *_axial_verdicts(b, graph.units, graph.midpoints, tol))
 
 
 def all_bar_resultants(

@@ -18,7 +18,7 @@ import numpy as np
 from .chains import EdgeId, FrameGraph
 from .cycles import FundamentalCycle
 from .errors import StructureError
-from .selfstress import SelfStressState, _bar_frames, _node_array
+from .selfstress import SelfStressState, _node_array
 from .wedge import Bivector6
 
 
@@ -68,8 +68,7 @@ class StaticsSummary:
 
 
 def equilibrium_matrix(graph: FrameGraph) -> EquilibriumMatrix:
-    units, _ = _bar_frames(graph)  # raises on coincident endpoints
-    a = _block(units, graph.end_rows, 0, 3 * graph.v, np.arange(graph.e))
+    a = _block(graph.units, graph.end_rows, 0, 3 * graph.v, np.arange(graph.e))
     return EquilibriumMatrix(matrix=a, node_ids=graph.node_ids, edge_ids=graph.edge_ids)
 
 
@@ -113,15 +112,14 @@ def analyze_statics(graph: FrameGraph, rtol: float = 1e-9) -> StaticsSummary:
         raise StructureError(
             "statics need at least 3 nodes not on one line: the counts take 6 rigid-body motions"
         )
-    units, _ = _bar_frames(graph)  # raises on coincident endpoints
     rows = 3 * graph.v
-    a = _block(units, graph.end_rows, 0, rows, np.arange(graph.e))
+    a = _block(graph.units, graph.end_rows, 0, rows, np.arange(graph.e))
     # The frames live on through the SVD into the basis steps.  Copies made
     # now, with A allocated, keep clear of the freed heap that, in a process
     # that runs the statics again and again, takes the SVD's copy of A and
     # its work buffer; with the first arrays kept, the benchmark's
     # lattice-axial worker peaked at ~82 MB instead of ~70 MB on 3 of 5 seeds.
-    units, ends = units.copy(), graph.end_rows.copy()
+    units, ends = graph.units.copy(), graph.end_rows.copy()
     sigma = np.linalg.svd(a, compute_uv=False)
     # a tolerance below numpy's default rank tolerance would count rounding
     # noise as rank, and let it pass for independent columns
@@ -344,7 +342,7 @@ def axial_to_state(
         raise StructureError(
             "axial vector names unknown bars: " + ", ".join(repr(e) for e in unknown)
         )
-    units, mids = _bar_frames(graph)
+    units, mids = graph.units, graph.midpoints
     qv = q.as_array(graph.edge_ids)
     residual = float(np.linalg.norm(_node_array(graph, qv[:, None] * units)))  # |A q|
     scale = float(np.sqrt(2 * graph.e) * np.linalg.norm(qv))

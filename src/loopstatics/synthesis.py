@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructureError
-from .wedge import _PLANES, LoopPath, Point4
+from .wedge import _A, _B, LoopPath, Point4, _normal_form
 
 _ORIGIN4 = Point4(0.0, 0.0, 0.0, 0.0)
 
@@ -25,7 +25,6 @@ _TURNS = [(np.cos(a), np.sin(a)) for a in 2.0 * np.pi * np.arange(3) / 3.0]
 # A bivector is simple when its second plane's weight is at most this share
 # of its first's: the rounding of the normal form, not a second plane.
 _SIMPLE = 64 * np.finfo(float).eps
-_A, _B = np.array(_PLANES).T
 
 
 def _in_plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,68 +44,51 @@ def _in_plane_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, np.cross(normals, t1)
 
 
-def _triangles(mids, forces, moments, f_norms) -> np.ndarray:
-    """Vertex rows (k, 3, 4) of the triangles of k axial bars, unchecked:
-    equilateral, centred on the midpoint, right-handed about the force.
-    The nonzero force norms are each force's scalar BLAS norm, passed in
-    so that callers test the same number for zero."""
+def _triangles(forces, moments, f_norms) -> np.ndarray:
+    """Vertex rows (k, 3, 4) of the triangles of k axial bars about the
+    origin, unchecked: equilateral, right-handed about the force; f_norms
+    are the forces' nonzero scalar BLAS norms, passed in so that callers
+    test the same number for zero.  The edges e_i = v_(i-1) - v_(i+1) of a
+    triangle of circumradius R have sum e_i e_i^T = (9/2) R^2 times its
+    plane's projector, so h_i = 2 e_i . m / ((9/2) R^2) is the min-norm
+    solution of the h-plane shoelace equations, exact when m . normal = 0
+    (always, for axial-consistent inputs)."""
     t1, t2 = _in_plane_frames(forces / f_norms[:, None])
     # equilateral triangle: area = (3*sqrt(3)/4) * R^2 with circumradius R
     radius = np.sqrt(4.0 * f_norms / (3.0 * np.sqrt(3.0)))[:, None]
-    v0, v1, v2 = (mids + radius * (c * t1 + s * t2) for c, s in _TURNS)
-    # h-values from the three h-plane shoelace equations; the matrix columns
-    # are the triangle edge vectors, so the min-norm solve is exact whenever
-    # moment . normal = 0 (always true for axial-consistent inputs).  One
-    # LAPACK solve per bar keeps each bar's bits.
-    edges = np.stack([v2 - v1, v0 - v2, v1 - v0], axis=2)
-    h = [np.linalg.lstsq(e, 2.0 * m, rcond=None)[0] for e, m in zip(edges, moments)]
-    return np.concatenate([np.stack([v0, v1, v2], axis=1),
-                           np.reshape(h, (-1, 3, 1))], axis=2)
+    v = np.stack([radius * (c * t1 + s * t2) for c, s in _TURNS], axis=1)
+    edges = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+    h = (edges * moments[:, None, :]).sum(axis=2) / (2.25 * radius * radius)
+    return np.concatenate([v, h[:, :, None]], axis=2)
 
 
-def _normal_form_loops(anchors: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex rows (k, 6, 4) of one closed loop for each of k nonzero
-    bivector rows (k x 6, in Bivector6 order) through k x 4 anchors, and
-    which bivectors are simple, so that their loop is its first 3 rows.
+def _normal_form_loops(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex rows (k, 6, 4) of one closed loop about the origin for each of
+    k nonzero bivector rows (k x 6, in Bivector6 order), and which bivectors
+    are simple, so that their loop is its first 3 rows.
 
-    A 4D bivector has the normal form B = l1 e1^f1 + l2 e2^f2, with
-    (e1, f1, e2, f2) orthonormal and l1 >= l2 >= 0, and the triangle
-    (p, p + a e, p + a f) has area (a^2 / 2) e^f.  So the loop
-    (p, p + a1 e1, p + a1 f1, p, p + a2 e2, p + a2 f2) with a_i^2 / 2 = l_i
-    has area B.  For M the skew matrix of B, e1 is the top eigenvector of
-    M^T M and f1 = -M e1 / l1; e2 is taken orthogonal to (e1, f1)
-    explicitly, so that l1 = l2 needs no care, and f2 comes from M less
-    its first term.  Each row's bits do not depend on the other rows."""
-    scale = np.abs(rows).max(axis=1)  # keeps M^T M clear of overflow and underflow
-    m = np.zeros((len(rows), 4, 4))
-    m[:, _A, _B] = rows / scale[:, None]
-    m[:, _B, _A] = -m[:, _A, _B]
-    gram = (m[:, :, :, None] * m[:, :, None, :]).sum(axis=1)
-    e1 = np.linalg.eigh(gram)[1][:, :, 3]
-    l1, f1 = _turned(m, e1)
-    m -= l1[:, None, None] * (_outer(e1, f1) - _outer(f1, e1))
-    rest = np.eye(4) - _outer(e1, e1) - _outer(f1, f1)  # projects onto the second plane
-    column = rest.diagonal(axis1=1, axis2=2).argmax(axis=1)
-    e2 = rest[np.arange(len(rest)), :, column]
-    e2 /= np.sqrt((e2 * e2).sum(axis=1))[:, None]
-    l2, f2 = _turned(m, e2)
-    a1, a2 = (np.sqrt(2.0 * scale * weight)[:, None] for weight in (l1, l2))
-    p = anchors
-    loops = np.stack([p, p + a1 * e1, p + a1 * f1, p, p + a2 * e2, p + a2 * f2], axis=1)
-    return loops, l2 <= _SIMPLE * l1
-
-
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x[:, :, None] * y[:, None, :]
-
-
-def _turned(m: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|M e| and the unit vector -M e / |M e|, zero where M e is, for k
-    skew matrices M and k unit vectors e."""
-    me = (m * e[:, None, :]).sum(axis=2)
-    length = np.sqrt((me * me).sum(axis=1))
-    return length, np.divide(-me, length[:, None], out=np.zeros_like(me),
-                             where=length[:, None] > 0.0)
+    The triangle (0, a e, a f), for e, f an orthonormal pair of a unit simple
+    bivector P, has area (a^2 / 2) P, so the loop
+    (0, a1 e1, a1 f1, 0, a2 e2, a2 f2) with a_i^2 / 2 = |l_i| has the area
+    l1 P1 + l2 P2 of `_normal_form`, P2 reversed where l2 < 0.  -P^2
+    projects onto P's plane: e is its column with the largest diagonal,
+    normalized, and f = -P e.  Every step is elementwise, so each row's bits
+    do not depend on the other rows or on the BLAS."""
+    scale, units, weights, simple = _normal_form(rows, _SIMPLE)
+    a, b = units[:, 0], units[:, 1]
+    planes = np.stack([np.hstack([a + b, a - b]), np.hstack([a - b, a + b])], axis=1) / 2.0
+    planes[weights[:, 1] < 0.0, 1] *= -1.0
+    p = np.zeros((len(rows), 2, 4, 4))
+    p[:, :, _A, _B] = planes
+    p[:, :, _B, _A] = -planes
+    projector = -(p[:, :, :, :, None] * p[:, :, None, :, :]).sum(axis=3)
+    column = projector.diagonal(axis1=2, axis2=3).argmax(axis=2)
+    e = np.take_along_axis(projector, column[:, :, None, None], axis=3)[..., 0]
+    e /= np.sqrt((e * e).sum(axis=2))[:, :, None]
+    sides = np.sqrt(2.0 * scale[:, None] * np.abs(weights))[:, :, None]
+    # the first vertex, -0.0, adds to any anchor exactly
+    triangles = [np.full_like(e, -0.0), sides * e, sides * -(p * e[:, :, None, :]).sum(axis=3)]
+    return np.stack(triangles, axis=2).reshape(-1, 6, 4), simple
 
 
 def zero_bar_loop(normal, anchor: Point4 = _ORIGIN4, size: float = 1.0) -> LoopPath:
@@ -117,11 +99,5 @@ def zero_bar_loop(normal, anchor: Point4 = _ORIGIN4, size: float = 1.0) -> LoopP
     if abs(n_len - 1.0) > 1e-9:
         raise StructureError("plane normal must be a unit vector")
     (t1,), (t2,) = _in_plane_frames((n / n_len)[None])
-    c = anchor.to_array()
-    arms = (size * t1, -size * t1, size * t2, -size * t2)
-    verts = []
-    for arm in arms:
-        p = c.copy()
-        p[:3] += arm
-        verts.append(Point4.from_array(p))
-    return LoopPath(tuple(verts))
+    arms = np.column_stack([size * np.array([t1, -t1, t2, -t2]), np.zeros(4)])
+    return LoopPath(tuple(map(Point4.from_array, anchor.to_array() + arms)))

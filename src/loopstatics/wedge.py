@@ -11,7 +11,7 @@ a total moment about the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import hypot, isfinite
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import StructureError
 # (row, col) coordinate indices for the six projection planes, in the
 # component order of Bivector6: jk, ki, ij, ih, jh, kh.
 _PLANES = ((1, 2), (2, 0), (0, 1), (0, 3), (1, 3), (2, 3))
+_A, _B = np.array(_PLANES).T
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,9 @@ class Bivector6:
         return np.array([self.jk, self.ki, self.ij, self.ih, self.jh, self.kh])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components()))
+        """Euclidean norm of the six areas, free of overflow and underflow
+        in its squares."""
+        return hypot(self.jk, self.ki, self.ij, self.ih, self.jh, self.kh)
 
     def __add__(self, other: "Bivector6") -> "Bivector6":
         return Bivector6(*(self.components() + other.components()))
@@ -153,19 +156,24 @@ class DualChain:
 
 
 def loop_area(loop: LoopPath) -> Bivector6:
-    """Shoelace area of the loop's projection onto each of the six planes.
+    """Shoelace area of the loop's projection onto each of the six planes;
+    unchanged (to rounding) by translating the whole loop."""
+    return Bivector6(*_shoelace(loop.vertex_array(), [len(loop.vertices)])[0][0].tolist())
 
-    Vertices are referred to the first vertex before summing, so the
-    result is unchanged (to rounding) by translating the whole loop.
-    """
-    pts = loop.vertex_array()
-    pts -= pts[0]
-    nxt = np.roll(pts, -1, axis=0)
-    comps = [
-        0.5 * float(np.sum(pts[:, a] * nxt[:, b] - pts[:, b] * nxt[:, a]))
-        for a, b in _PLANES
-    ]
-    return Bivector6(*comps)
+
+def _shoelace(vertices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shoelace areas (k x 6, Bivector6 order) of k loops whose vertex rows
+    lie back to back in `vertices`, sizes[i] rows each, with each loop's
+    first row and the row that follows each row around its loop.  Each
+    vertex is taken about its loop's first, so the areas do not lose the
+    loop's bits to its distance from the origin."""
+    starts = np.cumsum(sizes) - sizes
+    following = np.arange(1, len(vertices) + 1)
+    following[starts + sizes - 1] = starts
+    d = vertices - vertices[np.repeat(starts, sizes)]
+    nxt = d[following]
+    areas = 0.5 * np.add.reduceat(d[:, _A] * nxt[:, _B] - d[:, _B] * nxt[:, _A], starts)
+    return areas, starts, following
 
 
 def chain_area(chain: DualChain) -> Bivector6:
@@ -188,12 +196,25 @@ def moment_of(b: Bivector6) -> np.ndarray:
 
 
 def is_simple(b: Bivector6, tol: float = 1e-9) -> bool:
-    """True iff the bivector is realizable by a single planar loop.
+    """True iff the bivector is realizable by a single planar loop: the
+    second weight of its normal form is at most tol times the first, a rule
+    that does not depend on the bivector's scale (`_normal_form`)."""
+    return bool(_normal_form(b.components()[None], tol)[3][0])
 
-    Tests the wedge of the bivector with itself: the Pfaffian
-    jk*ih + ki*jh + ij*kh (equivalently force . moment) must vanish
-    relative to the squared magnitude.
-    """
-    pf = b.jk * b.ih + b.ki * b.jh + b.ij * b.kh
-    scale = b.norm()
-    return abs(pf) <= tol * scale * scale
+
+def _normal_form(rows: np.ndarray, tol: float):
+    """The normal form l1 P1 + l2 P2 of k x 6 bivector rows (f, m), from the
+    self-dual split of each row over its largest entry, p = (f + m)/2 and
+    q = (f - m)/2 (Dorst, Fontijne & Mann 2007): l1, l2 = |p| +- |q| and
+    P1, P2 = ((a +- b)/2, (a -+ b)/2) for the unit vectors a, b of p, q (the
+    x axis where zero).  Returns the largest entries, (a, b) (k x 2 x 3),
+    (l1, l2) (k x 2) and whether |l2| <= tol l1: as |p|^2 - |q|^2 = f . m,
+    the simple rows are the zero-pitch wrenches (Ball 1900)."""
+    scale = np.abs(rows).max(axis=1)
+    r = np.divide(rows, scale[:, None], out=np.zeros_like(rows), where=scale[:, None] > 0.0)
+    halves = np.stack([r[:, :3] + r[:, 3:], r[:, :3] - r[:, 3:]], axis=1) / 2.0
+    lengths = np.sqrt((halves * halves).sum(axis=2))[:, :, None]
+    units = np.divide(halves, lengths, out=np.tile([1.0, 0.0, 0.0], (len(rows), 2, 1)),
+                      where=lengths > 0.0)
+    weights = np.hstack([lengths[:, 0] + lengths[:, 1], lengths[:, 0] - lengths[:, 1]])
+    return scale, units, weights, np.abs(weights[:, 1]) <= tol * weights[:, 0]

@@ -134,11 +134,10 @@ def item_area(rows) -> Bivector6:
 
 
 def normal_form_loop(target: Bivector6, anchor=(0.0, 0.0, 0.0, 0.0)) -> LoopPath:
-    """The loop of `synthesis._normal_form_loops` for one nonzero target:
-    3 vertices when the target is simple, else 6."""
-    loops, simple = _normal_form_loops(np.array([anchor], dtype=float),
-                                       target.components()[None])
-    return loop_of(loops[0, :3] if simple[0] else loops[0])
+    """The loop of `synthesis._normal_form_loops` for one nonzero target,
+    moved to the anchor: 3 vertices when the target is simple, else 6."""
+    loops, simple = _normal_form_loops(target.components()[None])
+    return loop_of((loops[0, :3] if simple[0] else loops[0]) + np.asarray(anchor, dtype=float))
 
 
 # -- reference realization: the object-based, one-loop-at-a-time code that
@@ -147,34 +146,38 @@ def normal_form_loop(target: Bivector6, anchor=(0.0, 0.0, 0.0, 0.0)) -> LoopPath
 _REF_PLANES = ((1, 2), (2, 0), (0, 1), (0, 3), (1, 3), (2, 3))  # jk ki ij ih jh kh
 
 
-def _ref_turned(m: np.ndarray, e: np.ndarray):
-    me = (m * e).sum(axis=1)
-    length = np.sqrt((me * me).sum())
-    return length, (-me / length if length > 0.0 else np.zeros(4))
-
-
-def ref_normal_form_loop(row, anchor=(0.0, 0.0, 0.0, 0.0)) -> LoopPath:
-    """The loop of one nonzero bivector row (Bivector6 order) through an
-    anchor, from its normal form l1 e1^f1 + l2 e2^f2: the triangle
-    (p, p + a1 e1, p + a1 f1), then (p, p + a2 e2, p + a2 f2) unless the
-    bivector is simple, with a_i^2 / 2 = l_i."""
+def ref_normal_form_loop(row) -> LoopPath:
+    """The loop about the origin of one nonzero bivector row (Bivector6
+    order), from the self-dual split of the row over its largest entry:
+    p = (f + m)/2 and q = (f - m)/2 with unit vectors a and b give the
+    weights l1 = |p| + |q|, l2 = |p| - |q| of the planes
+    P1 = ((a + b)/2, (a - b)/2) and P2 = ((a - b)/2, (a + b)/2), P2 reversed
+    where l2 < 0.  Each plane's triangle is (0, s e, s f) with s^2 / 2 = |l|,
+    e the column of -P^2 with the largest diagonal, normalized, and
+    f = -P e; the second is dropped when |l2| <= 64 eps l1."""
     row = np.asarray(row, dtype=float)
     scale = np.abs(row).max()
-    m = np.zeros((4, 4))
-    for (a, b), x in zip(_REF_PLANES, row / scale):
-        m[a, b], m[b, a] = x, -x
-    e1 = np.linalg.eigh((m[:, :, None] * m[:, None, :]).sum(axis=0))[1][:, 3]
-    l1, f1 = _ref_turned(m, e1)
-    m = m - l1 * (np.outer(e1, f1) - np.outer(f1, e1))
-    rest = np.eye(4) - np.outer(e1, e1) - np.outer(f1, f1)
-    e2 = rest[:, np.argmax(np.diagonal(rest))]
-    e2 = e2 / np.sqrt((e2 * e2).sum())
-    l2, f2 = _ref_turned(m, e2)
-    p = np.asarray(anchor, dtype=float)
-    a1, a2 = np.sqrt(2.0 * scale * l1), np.sqrt(2.0 * scale * l2)
-    verts = [p, p + a1 * e1, p + a1 * f1]
-    if l2 > 64 * np.finfo(float).eps * l1:
-        verts += [p, p + a2 * e2, p + a2 * f2]
+    f, m = row[:3] / scale, row[3:] / scale
+    units = []
+    for half in ((f + m) / 2.0, (f - m) / 2.0):
+        length = np.sqrt((half * half).sum())
+        units.append((half / length if length > 0.0 else np.array([1.0, 0.0, 0.0]), length))
+    (a, lp), (b, lq) = units
+    weights = (lp + lq, lp - lq)
+    planes = (np.concatenate([a + b, a - b]) / 2.0,
+              (-1.0 if weights[1] < 0.0 else 1.0) * np.concatenate([a - b, a + b]) / 2.0)
+    verts = []
+    for plane, weight in zip(planes, weights):
+        p = np.zeros((4, 4))
+        for (i, j), x in zip(_REF_PLANES, plane):
+            p[i, j], p[j, i] = x, -x
+        projector = -(p[:, :, None] * p[None, :, :]).sum(axis=1)
+        e = projector[:, np.argmax(np.diagonal(projector))]
+        e = e / np.sqrt((e * e).sum())
+        side = np.sqrt(2.0 * scale * abs(weight))
+        verts += [np.full(4, -0.0), side * e, side * -(p * e).sum(axis=1)]
+    if abs(weights[1]) <= 64 * np.finfo(float).eps * weights[0]:
+        verts = verts[:3]
     return LoopPath(tuple(Point4(*v) for v in verts))
 
 
@@ -190,22 +193,25 @@ def ref_in_plane_frame(normal: np.ndarray):
     raise AssertionError("degenerate normal")
 
 
-def ref_axial_loop(mid: np.ndarray, f: np.ndarray, m: np.ndarray):
+def ref_axial_loop(f: np.ndarray, m: np.ndarray) -> LoopPath:
+    """The triangle about the origin of one axial bar: equilateral, of area
+    |f|, right-handed about f, with h_i = 2 e_i . m / ((9/2) R^2) for its
+    edges e_i = v_(i-1) - v_(i+1) and circumradius R."""
     f_norm = float(np.linalg.norm(f))
     n = f / f_norm
     t1, t2 = ref_in_plane_frame(n)
     radius = float(np.sqrt(4.0 * f_norm / (3.0 * np.sqrt(3.0))))
     angles = 2.0 * np.pi * np.arange(3) / 3.0
-    spatial = [mid + radius * (np.cos(a) * t1 + np.sin(a) * t2) for a in angles]
-    v0, v1, v2 = spatial
-    b = np.column_stack([v2 - v1, v0 - v2, v1 - v0])
-    h, *_ = np.linalg.lstsq(b, 2.0 * m, rcond=None)
-    return LoopPath(tuple(Point4(p[0], p[1], p[2], hv) for p, hv in zip(spatial, h)))
+    spatial = [radius * (np.cos(a) * t1 + np.sin(a) * t2) for a in angles]
+    h = [((spatial[i - 1] - spatial[(i + 1) % 3]) * m).sum() / (2.25 * radius * radius)
+         for i in range(3)]
+    return LoopPath(tuple(Point4(*p, hv) for p, hv in zip(spatial, h)))
 
 
 def ref_realize_loops(graph, basis, state, per="bar", tol=1e-9, share_vertex=False):
     """(name, LoopPath) pairs as realize_state builds them, one loop at a
-    time."""
+    time: about the origin, then moved to the bar's midpoint or, with
+    share_vertex, so that the first vertex is the origin."""
     b, mids, parallel, matches, _, zero, _ = _judged_bars(state, basis, graph, tol)
     if per == "bar":
         items = [(f"bar_{bar}", i) for i, bar in enumerate(graph.edge_ids)]
@@ -216,12 +222,11 @@ def ref_realize_loops(graph, basis, state, per="bar", tol=1e-9, share_vertex=Fal
         if zero[i]:
             continue
         if parallel[i] and matches[i]:
-            loop = ref_axial_loop(mids[i], b[i, :3], b[i, 3:])
+            loop = ref_axial_loop(b[i, :3], b[i, 3:])
         else:
-            loop = ref_normal_form_loop(b[i], (*mids[i], 0.0))
-        if share_vertex:
-            loop = loop.translated(Point4.from_array(np.zeros(4) - loop.vertices[0].to_array()))
-        loops.append((name, loop))
+            loop = ref_normal_form_loop(b[i])
+        anchor = -loop.vertices[0].to_array() if share_vertex else (*mids[i], 0.0)
+        loops.append((name, loop.translated(Point4(*anchor))))
     return tuple(loops)
 
 

@@ -253,21 +253,41 @@ class TestHugeNumbers:
         code, out, err = run_strict("cycles", path)
         assert code == 0, err
 
-    def test_diagram_lost_to_rounding_names_its_loop(self, tmp_path):
-        """K5 with every coordinate times 1e16: the per-bar triangles, of
-        side ~1 around midpoints near 1e16, round onto themselves."""
+    @staticmethod
+    def _far_k5(tmp_path, factor):
+        """K5 with every coordinate times factor: its document and path."""
         doc = json.loads(_k5_text())
         for node in doc["nodes"]:
             for axis in "xyz":
-                node[axis] *= 1e16
-        path = tmp_path / "far.json"
+                node[axis] *= factor
+        path = tmp_path / f"far_{factor:g}.json"
         path.write_text(json.dumps(doc))
+        return doc, path
+
+    def test_diagram_lost_to_rounding_names_its_loop(self, tmp_path):
+        """K5 with every coordinate times 1e16: the per-bar triangles, of
+        side ~1 around midpoints near 1e16, round onto themselves."""
+        doc, path = self._far_k5(tmp_path, 1e16)
         code, out, err = run_strict("export", path, "--axial", "--out-dir", tmp_path / "d")
         assert code == 2 and out == ""
         assert err.count("\n") == 1, err
         first_bar = doc["bars"][0]["id"]
         assert err.startswith(f"error: loop bar_{first_bar} collapsed under rounding"), err
         assert "at these coordinates" in err
+
+    @pytest.mark.parametrize("factor", [1e10, 1e12])
+    def test_shared_vertex_loops_keep_their_bits(self, tmp_path, factor):
+        """K5 times 1e10 or 1e12: moved to their midpoints, the per-bar
+        triangles lose their areas to rounding, but built about the origin
+        and moved to the shared node they keep them."""
+        _, path = self._far_k5(tmp_path, factor)
+        code, out, err = run_strict("export", path, "--axial", "--out-dir", tmp_path / "d")
+        assert code == 2 and out == ""
+        assert err.startswith("error: loop bar_s0 collapsed under rounding"), err
+        code, out, err = run_strict("export", path, "--axial", "--share-vertex",
+                                    "--out-dir", tmp_path / "shared")
+        assert (code, err) == (0, "")
+        assert (tmp_path / "shared" / "force.obj").read_text().count("\no bar_") == 10
 
     def test_bound_is_inclusive(self):
         too_big = np.nextafter(MAX_MAGNITUDE, np.inf)

@@ -9,6 +9,7 @@ from loopstatics import (
     FrameGraph,
     StructureError,
     boundary,
+    fundamental_cycles,
     is_cycle,
 )
 
@@ -160,6 +161,22 @@ class TestFrameGraphValidation:
         assert g.length("a") == 1.0
         assert np.allclose(g.direction("a"), [1, 0, 0])
         assert np.allclose(g.midpoint("a"), [0.5, 0, 0])
+
+    def test_bar_frames_are_built_at_first_use_and_refuse_coincident_ends(self):
+        """`units` and `midpoints` are built once, when first read; a bar
+        whose ends coincide makes `units` raise at each read, while the
+        graph and its cycles stand."""
+        g = two_node_graph()
+        assert "units" not in vars(g) and "midpoints" not in vars(g)
+        assert g.units is g.units and g.midpoints is g.midpoints
+        assert g.units.tolist() == [[1.0, 0.0, 0.0]]
+        flat = FrameGraph(nodes=[("x", (0, 0, 0)), ("y", (0, 0, 0))],
+                          edges=[("a", "x", "y"), ("b", "x", "y")])
+        assert len(fundamental_cycles(flat)) == 1
+        for _ in range(2):
+            with pytest.raises(StructureError, match="bar 'a' has coincident endpoints"):
+                flat.units
+        assert flat.midpoints.tolist() == [[0.0, 0.0, 0.0]] * 2
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,10 @@
 import functools
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,52 @@ def test_array_realization_is_the_reference_bit_for_bit(
     basis = fundamental_cycles(g)
     state = _mixed_state(np.random.default_rng(seed), g, basis, state_kind)
     assert_realizations_agree(g, basis, state, per=per, share_vertex=share_vertex)
+
+
+_MESH_SCRIPT = """
+import hashlib
+import numpy as np
+from loopstatics import Bivector6, SelfStressState, fundamental_cycles, realize_state
+from loopstatics.diagrams import force_diagram_text
+from helpers import lattice_graph, random_state, ref_force_diagram_text, ref_realize_loops
+
+g = lattice_graph(np.random.default_rng(7), 4)
+basis = fundamental_cycles(g)
+rng = np.random.default_rng(31)
+gens = [g.columns[c.generator] for c in basis]
+force = rng.uniform(0.5, 2.0, size=(len(basis), 1)) * g.units[gens]
+axial = SelfStressState({c.generator: Bivector6(*f, *np.cross(g.midpoints[i], f))
+                         for c, i, f in zip(basis, gens, force)})
+digest = hashlib.sha256()
+for state, per in ((random_state(rng, basis), "bar"), (axial, "cycle")):
+    for share_vertex in (False, True):
+        options = {"per": per, "share_vertex": share_vertex}
+        text = force_diagram_text(realize_state(g, basis, state, **options))
+        assert text == ref_force_diagram_text(ref_realize_loops(g, basis, state, **options))
+        digest.update(text.encode())
+print(digest.hexdigest())
+"""
+
+
+def test_meshes_are_the_reference_bit_for_bit_under_one_and_two_blas_threads():
+    """In fresh processes under 1 and 2 BLAS threads, the batched loops of a
+    side-4 lattice (general states per bar, axial ones per cycle, with and
+    without a shared vertex) are the per-row reference's, and the same
+    bytes under both thread counts: no step of the drawing goes through
+    LAPACK or a threaded BLAS routine."""
+    import loopstatics
+
+    paths = [str(Path(loopstatics.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        done = subprocess.run([sys.executable, "-c", _MESH_SCRIPT], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 def _k5_axial_state():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import functools
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from loopstatics import (
     analyze_statics,
     axial_selfstress_basis,
     axial_to_state,
+    check_axial,
     equilibrium_matrix,
     fundamental_cycles,
     k5_frame,
@@ -26,7 +28,6 @@ from loopstatics import (
     prism_frame,
     selfstress_dimension,
 )
-from loopstatics.selfstress import _bar_frames
 from loopstatics.statics import (
     _ROWS,
     _block,
@@ -89,7 +90,7 @@ def _bars_and_matrix(name):
     """A sample frame's (or the side-5 lattice's) bar unit vectors, end
     nodes and dense equilibrium matrix."""
     g = _sample_frames().get(name) or lattice_graph(np.random.default_rng(22), 5)
-    return _bar_frames(g)[0], g.end_rows, equilibrium_matrix(g).matrix
+    return g.units, g.end_rows, equilibrium_matrix(g).matrix
 
 
 _BLOCK_FRAMES = st.sampled_from(["k5", "critical-prism", "lattice", "random-0",
@@ -435,17 +436,19 @@ class TestNullBasis:
         assert summary.axial_vector(3).forces == vectors[3].forces
 
     def test_bar_frames_are_built_once(self, monkeypatch):
-        """analyze_statics builds every bar's unit vector once, for the SVD's
-        matrix and the basis steps both, and takes the end rows the graph
-        holds."""
-        import loopstatics.statics as statics
-
+        """The graph builds every bar's unit vector once, at first use, for
+        the SVD's matrix, the basis steps, axial_to_state and the axial
+        check alike, and the statics take the end rows the graph holds."""
         calls = []
-        original = statics._bar_frames
-        monkeypatch.setattr(statics, "_bar_frames", lambda g: calls.append(g) or original(g))
+        build = FrameGraph.units.func
+        units = functools.cached_property(lambda g: calls.append(g) or build(g))
+        units.__set_name__(FrameGraph, "units")
+        monkeypatch.setattr(FrameGraph, "units", units)
         g = lattice_graph(np.random.default_rng(16), 3)
         summary = analyze_statics(g)
         assert summary.s == 15
+        basis = fundamental_cycles(g)
+        check_axial(axial_to_state(g, basis, summary.axial_vector(0)), g, basis)
         assert calls == [g]
 
     def test_no_bars_gives_an_empty_basis(self):
@@ -503,8 +506,7 @@ class TestInPlaceBasis:
         g = lattice_graph(np.random.default_rng(1), 7)
         a = equilibrium_matrix(g).matrix
         cut = max(1e-9, max(a.shape) * np.finfo(float).eps) * np.linalg.norm(a, 2)
-        units, _ = _bar_frames(g)
-        ends = g.end_rows
+        units, ends = g.units, g.end_rows
         tracemalloc.start()
         try:
             solve, redundant = _blocked_redundant_bars(units, ends, a.shape[0], cut)

@@ -39,9 +39,8 @@ from helpers import (
 def triangle(mid, force, moment):
     """The loop of `_triangles` for one axial bar."""
     f = np.asarray(force, dtype=float)
-    return loop_of(_triangles(np.array([mid], dtype=float), f[None],
-                              np.array([moment], dtype=float),
-                              np.array([np.linalg.norm(f)]))[0])
+    rows = _triangles(f[None], np.array([moment], dtype=float), np.array([np.linalg.norm(f)]))[0]
+    return loop_of(rows + (*mid, 0.0))
 
 
 def rel_err(loop, target: Bivector6) -> float:
@@ -121,9 +120,8 @@ class TestNormalFormLoop:
             assert loop.vertices[0] == loop.vertices[3] == Point4(1.0, 2.0, 3.0, 0.0)
 
     def test_equal_weights(self):
-        """jk = ih = 1: M^T M is the identity, so the top eigenvector says
-        nothing about the first plane, and the second is taken orthogonal
-        to it."""
+        """jk = ih = 1: q = 0, so the two weights are equal and q's unit
+        vector is the default one; the planes are still orthogonal."""
         target = Bivector6(jk=1.0, ih=1.0)
         loop = normal_form_loop(target)
         assert len(loop.vertices) == 6
@@ -144,11 +142,11 @@ class TestNormalFormLoop:
         rng = np.random.default_rng(28)
         rows = rng.normal(size=(300, 6)) * 10.0 ** rng.uniform(-3, 3, size=(300, 6))
         rows[::3, 3:] = np.cross(rng.uniform(-5, 5, size=(100, 3)), rows[::3, :3])
-        anchors = rng.uniform(-5, 5, size=(300, 4))
-        loops, simple = _normal_form_loops(anchors, rows)
-        for loop, is_simple_row, row, anchor in zip(loops, simple, rows, anchors):
-            expected = ref_normal_form_loop(row, anchor).vertex_array()
-            assert np.array_equal(loop[:3] if is_simple_row else loop, expected)
+        rows[1::3, 3:] = rows[1::3, :3] * rng.choice([-1.0, 1.0], size=(100, 1))  # f = +-m
+        loops, simple = _normal_form_loops(rows)
+        for loop, is_simple_row, row in zip(loops, simple, rows):
+            expected = ref_normal_form_loop(row).vertex_array()
+            assert (loop[:3] if is_simple_row else loop).tobytes() == expected.tobytes()
 
 
 class TestTriangleForAxial:

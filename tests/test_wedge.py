@@ -206,6 +206,31 @@ class TestIsSimple:
     def test_zero_is_simple(self):
         assert is_simple(ZERO_BIVECTOR)
 
+    def test_answer_does_not_depend_on_scale(self):
+        """100 N(0,1) rows and 100 simple ones (moment = r x force) get the
+        same answer at 2^600 and 2^-600, where every square overflows or
+        underflows, as at scale 1: no N(0,1) row is simple, each simple
+        row is."""
+        rng = np.random.default_rng(5)
+        general = rng.normal(size=(100, 6))
+        force = rng.normal(size=(100, 3))
+        simple = np.hstack([force, np.cross(rng.uniform(-5, 5, size=(100, 3)), force)])
+        for rows, expected in ((general, False), (simple, True)):
+            for power in (0, 600, -600):
+                answers = {is_simple(Bivector6(*np.ldexp(row, power))) for row in rows}
+                assert answers == {expected}, power
+
+
+class TestNorm:
+    @pytest.mark.parametrize("factor", [1e160, 1e-200])
+    def test_no_overflow_or_underflow(self, factor):
+        """The squares of 1e160 overflow and those of 1e-200 underflow, but
+        the norm is the scaled norm of the unscaled areas."""
+        rng = np.random.default_rng(6)
+        for row in rng.normal(size=(20, 6)):
+            expected = Bivector6(*row).norm() * factor
+            assert Bivector6(*(row * factor)).norm() == pytest.approx(expected, rel=1e-15, abs=0.0)
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
